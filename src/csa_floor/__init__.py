@@ -15,7 +15,6 @@ from .distributions import (
 from .frame_model import (
     FrameConfig,
     FrameGraph,
-    SamplingMode,
     SlotCountTooSmall,
     UserRecord,
     multinomial_pmf,
@@ -61,7 +60,6 @@ __all__ = [
     "ObjectiveSpec",
     "OptimizeResult",
     "PlrReport",
-    "SamplingMode",
     "SlotCountTooSmall",
     "StoppingSetClass",
     "SweepPlan",

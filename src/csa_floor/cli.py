@@ -23,7 +23,8 @@ from .distributions import (
     induce,
     parse_distribution,
 )
-from .harness import PlanError, SweepPlan, csv_lines, run_sweep
+from .frame_model import round_half_up
+from .harness import CSV_HEADER, PlanError, SweepPlan, csv_line, csv_lines, run_sweep
 from .optimizer import ObjectiveSpec, optimize
 from .predictor import analytic_report
 from .stopping_sets import CATALOG_BY_ID, beta
@@ -143,7 +144,7 @@ def _cmd_predict(args) -> int:
     loads = parse_loads(args.g)
     reports = []
     for g in loads:
-        m = int(math.floor(g * args.n + 0.5))
+        m = round_half_up(g * args.n)
         reports.append((g, m, analytic_report(m, args.n, dist, channel)))
     for g, m, rep in reports:
         print(f"g={g:g} m={m} n={args.n} eps={args.eps:g} avg_plr={rep.average:.6g}")
@@ -157,14 +158,11 @@ def _cmd_predict(args) -> int:
             )
             fh.write("\n")
     if args.out_csv:
-        lines = ["g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying"]
+        lines = [CSV_HEADER]
         for g, m, rep in reports:
             per = rep.per_degree if keying is DegreeKeying.INDUCED else rep.user_perspective
-            for degree, value in enumerate(per):
-                lines.append(
-                    f"{g:.9g},{m},{args.n},0,{degree},,,{value:.9g},{keying.value}"
-                )
-            lines.append(f"{g:.9g},{m},{args.n},0,avg,,,{rep.average:.9g},{keying.value}")
+            for degree, value in [*enumerate(per), ("avg", rep.average)]:
+                lines.append(csv_line(g, m, args.n, 0, degree, "", "", value, keying.value))
         with open(args.out_csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0

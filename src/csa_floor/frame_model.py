@@ -5,26 +5,30 @@ many distinct slots uniformly at random, and each placed copy then survives
 the erasure channel independently. The surviving copies define a bipartite
 graph between users and slots; all decoding and stopping-set analysis happens
 on that graph.
+
+``draw_frame`` is the one definition of that draw as arrays. The sweep calls
+it once per frame of a chunk; ``sample_frame`` calls it once and wraps the
+result in a ``FrameGraph``, so both see the same frame from the same stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
-from .distributions import ChannelModel, DegreeDistribution, induce
+from .distributions import ChannelModel, DegreeDistribution
 
 
 class SlotCountTooSmall(ValueError):
     """Frame has fewer slots than the largest drawable degree needs."""
 
 
-class SamplingMode(Enum):
-    PHYSICAL = "physical"
-    INDUCED = "induced"
+def round_half_up(x: float) -> int:
+    """Nearest integer, halves up; a frame of n slots at load g has
+    round_half_up(g * n) users."""
+    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,6 @@ class FrameConfig:
     n: int
     dist: DegreeDistribution
     channel: ChannelModel = field(default_factory=lambda: ChannelModel(0.0))
-    sampling_mode: SamplingMode = SamplingMode.PHYSICAL
 
     def __post_init__(self):
         if self.m < 0:
@@ -71,38 +74,53 @@ class FrameConfig:
             )
 
 
+def draw_frame(rng: np.random.Generator, cdf: np.ndarray, n: int, m: int, eps: float):
+    """Draw one frame as arrays: (degrees, slots, survive).
+
+    ``cdf`` is the cumulative degree distribution. One ``rng.random`` call
+    supplies, in order, the m degree uniforms, an (m, q) block of slot
+    uniforms and, when ``eps > 0``, an (m, q) block of erasure uniforms.
+    Degrees come from ``searchsorted`` on the CDF. Row u of ``slots`` holds
+    user u's slots in its first ``degrees[u]`` columns; a row with a
+    repeated slot is redrawn whole from the same stream until it has none.
+    ``survive`` marks the placed copies that the channel did not erase.
+    """
+    q = cdf.size - 1
+    x = rng.random(m * (1 + q) if eps == 0.0 else m * (1 + 2 * q))
+    deg = np.searchsorted(cdf, x[:m], side="right").astype(np.int16)
+    np.minimum(deg, q, out=deg)  # guard against cdf[-1] rounding just below 1
+    valid = np.arange(q, dtype=np.int16) < deg[:, None]
+    slots = (x[m : m + m * q].reshape(m, q) * n).astype(np.int32)
+    pad = np.arange(n, n + q, dtype=np.int32)  # distinct out-of-range sentinels
+    while True:
+        padded = np.where(valid, slots, pad)
+        padded.sort(axis=1)
+        bad = (padded[:, 1:] == padded[:, :-1]).any(axis=1)
+        nbad = int(bad.sum())
+        if not nbad:
+            break
+        slots[bad] = (rng.random((nbad, q)) * n).astype(np.int32)
+    if eps > 0.0:
+        survive = valid & (x[m + m * q :].reshape(m, q) >= eps)
+    else:
+        survive = valid
+    return deg, slots, survive
+
+
 def sample_frame(config: FrameConfig, rng: np.random.Generator) -> FrameGraph:
     """Draw one random frame; deterministic given the generator state.
 
-    Physical mode draws each user's degree from the original distribution,
-    places the copies in a uniform subset of slots, then erases each copy
-    independently. Induced mode draws the post-erasure degree directly from
-    the induced distribution and skips the erasure step; the two modes yield
-    identically distributed graphs (the survivors of a uniform l-subset form
-    a uniform k-subset).
+    The draw is ``draw_frame``: with ``rng = harness.frame_generator(seed,
+    i, f)`` the graph is frame f of load point i of a sweep.
     """
-    if config.sampling_mode is SamplingMode.PHYSICAL:
-        draw = config.dist
-        eps = config.channel.epsilon
-    else:
-        draw = induce(config.dist, config.channel)
-        eps = 0.0
-    cdf = np.cumsum(draw.probs)
-    q = draw.q
-    users = []
-    for _ in range(config.m):
-        deg = int(np.searchsorted(cdf, rng.random(), side="right"))
-        if deg > q:  # guard against cdf[-1] rounding just below 1
-            deg = q
-        if deg == 0:
-            slots = frozenset()
-        else:
-            chosen = rng.choice(config.n, size=deg, replace=False)
-            if eps > 0.0:
-                chosen = chosen[rng.random(deg) >= eps]
-            slots = frozenset(int(s) for s in chosen)
-        users.append(UserRecord(original_degree=deg, slots=slots))
-    return FrameGraph(n=config.n, users=tuple(users))
+    deg, slots, survive = draw_frame(
+        rng, np.cumsum(config.dist.probs), config.n, config.m, config.channel.epsilon
+    )
+    users = tuple(
+        UserRecord(original_degree=int(d), slots=frozenset(slots[u, survive[u]].tolist()))
+        for u, d in enumerate(deg.tolist())
+    )
+    return FrameGraph(n=config.n, users=users)
 
 
 def profile(graph: FrameGraph, q: int | None = None) -> tuple[int, ...]:

@@ -6,10 +6,17 @@ for any worker count: workers only change how deterministic per-frame
 contributions are batched, and all accumulation is integer arithmetic.
 
 Frames are processed in fixed-size chunks. Within a chunk, sampling stays
-per-frame (one Philox stream each) but decoding is vectorized across frames:
-slot occupancy counters plus per-slot sums of user indices identify the
-unique user in any singleton slot, and a frontier of touched slots drives
-peeling in O(edges) total work.
+per-frame (``frame_model.draw_frame`` on one Philox stream each) but decoding
+is vectorized across frames: slot occupancy counters plus per-slot sums of
+user indices identify the unique user in any singleton slot, and a frontier
+of touched slots drives peeling in O(edges) total work. Residual components
+are labelled with scipy's connected components and classified against the
+stopping-set catalog.
+
+Each chunk stage has a reference path that tests compare it against on the
+same frames: ``sample_frame(cfg, frame_generator(seed, i, f))`` for
+sampling, ``decoder.peel`` for peeling, and ``stopping_sets.components``
+plus ``classify`` for classification.
 """
 
 from __future__ import annotations
@@ -27,12 +34,15 @@ from scipy.sparse.csgraph import connected_components
 
 from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution
+from .frame_model import draw_frame, round_half_up
 from .predictor import analytic_report
 from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_sets
 
 CHUNK_FRAMES = 4096
 CSV_HEADER = "g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying"
 HISTOGRAM_KEYS = tuple(c.id for c in CATALOG) + (DEGREE0_LABEL, OTHER_LABEL)
+# residual components with more users than this can only be "Other"
+_MAX_CLASS_SIZE = max(c.size for c in CATALOG)
 
 _MASK64 = (1 << 64) - 1
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -40,10 +50,6 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 class PlanError(ValueError):
     """Invalid sweep plan."""
-
-
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
 
 
 def confidence_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -177,11 +183,9 @@ def _sample_chunk(spec: _ChunkSpec):
     degree matrices of shape (B, m) plus flat edge arrays ordered by
     (frame, user).
     """
-    probs = spec.probs
-    q = len(probs) - 1
     n, m, eps = spec.n, spec.m, spec.epsilon
     B = spec.frame_hi - spec.frame_lo
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(spec.probs)
 
     key = (spec.seed & _MASK64) | ((spec.point_index & _MASK64) << 64)
     bg = Philox(key=key)
@@ -189,18 +193,15 @@ def _sample_chunk(spec: _ChunkSpec):
     state = bg.state
     counter = np.zeros(4, dtype=np.uint64)
 
-    cols = np.arange(q, dtype=np.int16)
-    pad = np.arange(n, n + q, dtype=np.int32)  # distinct out-of-range sentinels
     orig = np.empty((B, m), dtype=np.int16)
     recv = np.empty((B, m), dtype=np.int16)
     edge_counts = np.empty(B, dtype=np.int64)
     e_users: list[np.ndarray] = []
     e_slots: list[np.ndarray] = []
-    draw = m * (1 + q) if eps == 0.0 else m * (1 + 2 * q)
 
     for row in range(B):
         # reposition the counter instead of rebuilding the bit generator;
-        # equivalent to Philox(key=key, counter=frame_index << 128)
+        # equivalent to frame_generator(seed, point_index, frame_lo + row)
         counter[2] = spec.frame_lo + row
         state["state"]["counter"] = counter
         state["buffer_pos"] = 4
@@ -208,24 +209,7 @@ def _sample_chunk(spec: _ChunkSpec):
         state["uinteger"] = 0
         bg.state = state
 
-        x = gen.random(draw)
-        deg = np.searchsorted(cdf, x[:m], side="right").astype(np.int16)
-        np.minimum(deg, q, out=deg)
-        valid = cols < deg[:, None]
-        slots = (x[m : m + m * q].reshape(m, q) * n).astype(np.int32)
-        while True:
-            padded = np.where(valid, slots, pad)
-            padded.sort(axis=1)
-            bad = (padded[:, 1:] == padded[:, :-1]).any(axis=1)
-            nbad = int(bad.sum())
-            if not nbad:
-                break
-            slots[bad] = (gen.random((nbad, q)) * n).astype(np.int32)
-        if eps > 0.0:
-            survive = valid & (x[m + m * q :].reshape(m, q) >= eps)
-        else:
-            survive = valid
-
+        deg, slots, survive = draw_frame(gen, cdf, n, m, eps)
         uu, cc = np.nonzero(survive)
         edge_counts[row] = uu.size
         e_users.append(uu)
@@ -319,9 +303,9 @@ def _classify_residuals(B, m, n, ef, eu, es, resolved_flat, recv, indptr) -> Cou
     comp_of_user = labels[:nu]
     sizes = np.bincount(comp_of_user, minlength=ncomp)
 
-    hist[OTHER_LABEL] += int((sizes > 3).sum())
+    hist[OTHER_LABEL] += int((sizes > _MAX_CLASS_SIZE).sum())
 
-    small = np.flatnonzero((sizes >= 1) & (sizes <= 3))
+    small = np.flatnonzero((sizes >= 1) & (sizes <= _MAX_CLASS_SIZE))
     if small.size:
         order = np.argsort(comp_of_user, kind="stable")
         sorted_comp = comp_of_user[order]
@@ -463,41 +447,21 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def csv_line(g, m, n, frames, degree, plr_sim: str, ci95: str, plr_analytic, keying) -> str:
+    """One CSV row; ``plr_sim`` and ``ci95`` come formatted, empty when not simulated."""
+    fields = [_fmt(g), str(m), str(n), str(frames), str(degree)]
+    return ",".join(fields + [plr_sim, ci95, _fmt(plr_analytic), keying])
+
+
 def csv_lines(rows: list[SweepRow]) -> list[str]:
     lines = [CSV_HEADER]
     for row in rows:
-        q = len(row.plr_sim) - 1
-        for degree in range(q + 1):
+        per_degree = zip(range(len(row.plr_sim)), row.plr_sim, row.ci95, row.plr_analytic)
+        avg = ("avg", row.avg_sim, row.avg_ci95, row.avg_analytic)
+        for degree, sim, ci, analytic in [*per_degree, avg]:
             lines.append(
-                ",".join(
-                    [
-                        _fmt(row.g),
-                        str(row.m),
-                        str(row.n),
-                        str(row.frames),
-                        str(degree),
-                        _fmt(row.plr_sim[degree]),
-                        _fmt(row.ci95[degree]),
-                        _fmt(row.plr_analytic[degree]),
-                        row.keying,
-                    ]
-                )
+                csv_line(row.g, row.m, row.n, row.frames, degree, _fmt(sim), _fmt(ci), analytic, row.keying)
             )
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.g),
-                    str(row.m),
-                    str(row.n),
-                    str(row.frames),
-                    "avg",
-                    _fmt(row.avg_sim),
-                    _fmt(row.avg_ci95),
-                    _fmt(row.avg_analytic),
-                    row.keying,
-                ]
-            )
-        )
     return lines
 
 

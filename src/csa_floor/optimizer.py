@@ -27,6 +27,7 @@ import numpy as np
 
 from .distributions import ChannelModel, DegreeDistribution, induce
 from .density_evolution import threshold
+from .frame_model import round_half_up
 from .predictor import average_plr, plr_per_degree
 
 DEFAULT_FLOOR_LOG_CAP = 5.0
@@ -89,7 +90,7 @@ def objective(dist: DegreeDistribution, spec: ObjectiveSpec) -> float:
     g_star = threshold(dist)
     channel = ChannelModel(spec.epsilon)
     induced_dist = induce(dist, channel)
-    m = int(math.floor(spec.g_target * spec.n + 0.5))
+    m = round_half_up(spec.g_target * spec.n)
     p, _ = plr_per_degree(m, spec.n, induced_dist)
     pbar = average_plr(p, induced_dist)
     if pbar <= 0.0:

@@ -2,8 +2,10 @@
 
 Everything here enumerates complete joint slot assignments and counts in
 exact rational arithmetic, so catalog formulas can be checked by equality
-rather than tolerance. It exists for tests and manual exploration; the
-predictor never calls it.
+rather than tolerance. Each assignment is decoded and labelled by the
+reference path: ``decoder.peel``, then ``stopping_sets.components`` and
+``classify`` on the residual. It exists for tests and manual exploration;
+the predictor never calls it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from .stopping_sets import CATALOG_BY_ID, StoppingSetClass, classify_slot_sets
+from .decoder import peel
+from .frame_model import FrameGraph, UserRecord
+from .stopping_sets import CATALOG_BY_ID, StoppingSetClass, classify, components
 
 MAX_ENUMERATION = 10**8
 
@@ -86,56 +90,6 @@ class ExactEventTally:
     labels: dict[str, Fraction]
 
 
-def _peel_slot_tuples(slot_sets: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Indices of unresolved users for one concrete assignment."""
-    occupants: dict[int, set[int]] = {}
-    for idx, slots in enumerate(slot_sets):
-        for s in slots:
-            occupants.setdefault(s, set()).add(idx)
-    stack = [s for s, occ in occupants.items() if len(occ) == 1]
-    resolved = [False] * len(slot_sets)
-    while stack:
-        s = stack.pop()
-        occ = occupants.get(s)
-        if occ is None or len(occ) != 1:
-            continue
-        idx = next(iter(occ))
-        resolved[idx] = True
-        for t in slot_sets[idx]:
-            o = occupants[t]
-            o.discard(idx)
-            if len(o) == 1:
-                stack.append(t)
-            elif not o:
-                del occupants[t]
-    return tuple(i for i, r in enumerate(resolved) if not r)
-
-
-def _component_labels(slot_sets: tuple[tuple[int, ...], ...], unresolved: tuple[int, ...]):
-    """Classifier labels of the residual's connected components."""
-    labels = []
-    remaining = set(unresolved)
-    slot_to_users: dict[int, list[int]] = {}
-    for idx in unresolved:
-        for s in slot_sets[idx]:
-            slot_to_users.setdefault(s, []).append(idx)
-    while remaining:
-        start = remaining.pop()
-        members = {start}
-        stack = [start]
-        while stack:
-            idx = stack.pop()
-            for s in slot_sets[idx]:
-                for other in slot_to_users[s]:
-                    if other in remaining:
-                        remaining.discard(other)
-                        members.add(other)
-                        stack.append(other)
-        sets = [frozenset(slot_sets[i]) for i in sorted(members)]
-        labels.append(classify_slot_sets(sets))
-    return labels
-
-
 def exact_event_probabilities(degrees, n: int) -> ExactEventTally:
     """Peel every joint assignment of the given user degrees exhaustively.
 
@@ -155,12 +109,14 @@ def exact_event_probabilities(degrees, n: int) -> ExactEventTally:
     label_counts: dict[str, int] = {}
     spaces = [tuple(combinations(range(n), l)) for l in degrees]
     for assignment in product(*spaces):
-        unresolved = _peel_slot_tuples(assignment)
-        k = len(unresolved)
+        graph = FrameGraph(
+            n=n, users=tuple(UserRecord(len(s), frozenset(s)) for s in assignment)
+        )
+        residual = peel(graph).residual
+        k = residual.m
         unresolved_counts[k] = unresolved_counts.get(k, 0) + 1
-        if unresolved:
-            for label in set(_component_labels(assignment, unresolved)):
-                label_counts[label] = label_counts.get(label, 0) + 1
+        for label in {classify(c) for c in components(residual)}:
+            label_counts[label] = label_counts.get(label, 0) + 1
 
     return ExactEventTally(
         degrees=degrees,

@@ -153,6 +153,25 @@ class TestPredict:
         assert lines[0] == CSV_HEADER
         assert lines[1].split(",")[5] == ""  # no simulated column
 
+    def test_csv_bytes_pinned(self, capsys, tmp_path):
+        cpath = tmp_path / "pred.csv"
+        argv = ["predict", "--dist", "1:0.2,2:0.3,3:0.5", "--n", "20", "--eps", "0.05"]
+        argv += ["--g", "0.2,0.45", "--keying", "original", "--out-csv", str(cpath)]
+        assert main(argv) == 0
+        assert cpath.read_bytes() == (
+            b"g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying\n"
+            b"0.2,4,20,0,0,,,0,original\n"
+            b"0.2,4,20,0,1,,,0.0844838661,original\n"
+            b"0.2,4,20,0,2,,,0.0121033809,original\n"
+            b"0.2,4,20,0,3,,,0.00275331225,original\n"
+            b"0.2,4,20,0,avg,,,0.0219044436,original\n"
+            b"0.45,9,20,0,0,,,0,original\n"
+            b"0.45,9,20,0,1,,,0.162998691,original\n"
+            b"0.45,9,20,0,2,,,0.0390949196,original\n"
+            b"0.45,9,20,0,3,,,0.0121472228,original\n"
+            b"0.45,9,20,0,avg,,,0.0504018254,original\n"
+        )
+
 
 class TestOptimize:
     def test_small_run(self, capsys, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from csa_floor.distributions import ChannelModel, induce, validate
 from csa_floor.frame_model import (
     FrameConfig,
-    SamplingMode,
     SlotCountTooSmall,
     dump_frame,
     multinomial_pmf,
@@ -16,10 +15,8 @@ from csa_floor.frame_model import (
 )
 
 
-def _config(m, n, probs, eps=0.0, mode=SamplingMode.PHYSICAL):
-    return FrameConfig(
-        m=m, n=n, dist=validate(probs), channel=ChannelModel(eps), sampling_mode=mode
-    )
+def _config(m, n, probs, eps=0.0):
+    return FrameConfig(m=m, n=n, dist=validate(probs), channel=ChannelModel(eps))
 
 
 class TestSampleFrame:
@@ -56,17 +53,6 @@ class TestSampleFrame:
     def test_slot_count_too_small(self, ref_dist):
         with pytest.raises(SlotCountTooSmall):
             FrameConfig(m=3, n=7, dist=ref_dist)  # the degree-8 tail needs 8 slots
-
-    def test_induced_mode_records_received_degree_as_original(self, ref_dist):
-        cfg = FrameConfig(
-            m=30,
-            n=20,
-            dist=ref_dist,
-            channel=ChannelModel(0.4),
-            sampling_mode=SamplingMode.INDUCED,
-        )
-        graph = sample_frame(cfg, np.random.default_rng(5))
-        assert all(u.original_degree == u.received_degree for u in graph.users)
 
 
 class TestProfile:
@@ -126,25 +112,6 @@ class TestStatistics:
             expect = m * induced.probs[l]
             se = math.sqrt(m * induced.probs[l] * (1 - induced.probs[l]) / frames)
             assert abs(mean - expect) <= 3 * se + 1e-9, (l, mean, expect, se)
-
-    def test_physical_and_induced_modes_agree(self):
-        probs = [0.0, 0.3, 0.4, 0.3]
-        eps = 0.25
-        m, n, frames = 5, 10, 100_000
-        induced = induce(validate(probs), ChannelModel(eps))
-        means = {}
-        for mode in (SamplingMode.PHYSICAL, SamplingMode.INDUCED):
-            cfg = _config(m, n, probs, eps, mode)
-            rng = np.random.default_rng(7)
-            sums = np.zeros(4)
-            for _ in range(frames):
-                sums += profile(sample_frame(cfg, rng), q=3)
-            means[mode] = sums / frames
-        for l in range(4):
-            lam = induced.probs[l]
-            se_diff = math.sqrt(2 * m * lam * (1 - lam) / frames)
-            diff = abs(means[SamplingMode.PHYSICAL][l] - means[SamplingMode.INDUCED][l])
-            assert diff <= 3 * se_diff + 1e-9, (l, diff, se_diff)
 
 
 def test_dump_frame_format(rng):

@@ -150,6 +150,13 @@ class TestRunSweep:
         # user-perspective analytics accompany original keying
         assert original_row.plr_analytic[2] >= induced_row.plr_analytic[2]
 
+    def test_four_user_s3_components_counted(self):
+        # S3 (a degree-3 user covered by three degree-1 users) is the largest
+        # catalog structure; rho(S3) is about 0.056 per frame here
+        dist = parse_distribution("1:0.5,2:0.2,3:0.3")
+        plan = SweepPlan(dist=dist, n=20, epsilon=0.0, loads=(0.6,), frames=2000, seed=7)
+        assert run_sweep(plan)[0].histogram["S3"] > 0
+
 
 class TestDeterminism:
     def test_csv_bytes_identical_across_worker_counts(self, ref_dist, tmp_path):
