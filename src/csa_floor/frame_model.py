@@ -6,9 +6,10 @@ the erasure channel independently. The surviving copies define a bipartite
 graph between users and slots; all decoding and stopping-set analysis happens
 on that graph.
 
-``draw_frame`` is the one definition of that draw as arrays. The sweep calls
-it once per frame of a chunk; ``sample_frame`` calls it once and wraps the
-result in a ``FrameGraph``, so both see the same frame from the same stream.
+``draw_frame`` is the reference definition of that draw as arrays, and
+``sample_frame`` wraps its result in a ``FrameGraph``. The sweep's block
+sampler (``harness._sample_chunk``) reads the same stream words in the same
+order, so it produces the same frame, and tests hold it to that.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class FrameConfig:
 
 
 def draw_frame(rng: np.random.Generator, cdf: np.ndarray, n: int, m: int, eps: float):
-    """Draw one frame as arrays: (degrees, slots, survive).
+    """Reference draw of one frame as arrays: (degrees, slots, survive).
 
     ``cdf`` is the cumulative degree distribution. One ``rng.random`` call
     supplies, in order, the m degree uniforms, an (m, q) block of slot
@@ -84,6 +85,9 @@ def draw_frame(rng: np.random.Generator, cdf: np.ndarray, n: int, m: int, eps: f
     user u's slots in its first ``degrees[u]`` columns; a row with a
     repeated slot is redrawn whole from the same stream until it has none.
     ``survive`` marks the placed copies that the channel did not erase.
+
+    The sweep's ``harness._sample_chunk`` computes this draw across blocks of
+    frames; this per-frame form is the reference it is tested against.
     """
     q = cdf.size - 1
     x = rng.random(m * (1 + q) if eps == 0.0 else m * (1 + 2 * q))

@@ -5,13 +5,16 @@ Every frame owns an independent counter-based random stream derived from
 for any worker count: workers only change how deterministic per-frame
 contributions are batched, and all accumulation is integer arithmetic.
 
-Frames are processed in fixed-size chunks. Within a chunk, sampling stays
-per-frame (``frame_model.draw_frame`` on one Philox stream each) but decoding
-is vectorized across frames: slot occupancy counters plus per-slot sums of
-user indices identify the unique user in any singleton slot, and a frontier
-of touched slots drives peeling in O(edges) total work. Residual components
-are labelled with scipy's connected components and classified against the
-stopping-set catalog.
+Frames are processed in fixed-size chunks. Sampling repositions the Philox
+counter once per frame and pulls that frame's uniforms in one call; degrees,
+slots, duplicate-slot redraws and erasures are then computed across a block
+of frames at once, reading each frame's words in the order
+``frame_model.draw_frame`` does. Decoding is vectorized across the chunk:
+slot occupancy counters plus per-slot sums of user indices identify the
+unique user in any singleton slot, and a frontier of touched slots drives
+peeling in O(edges) total work. Residual components are labelled with
+scipy's connected components and classified against the stopping-set
+catalog.
 
 Each chunk stage has a reference path that tests compare it against on the
 same frames: ``sample_frame(cfg, frame_generator(seed, i, f))`` for
@@ -34,17 +37,18 @@ from scipy.sparse.csgraph import connected_components
 
 from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution
-from .frame_model import draw_frame, round_half_up
+from .frame_model import round_half_up
 from .predictor import analytic_report
 from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_sets
 
 CHUNK_FRAMES = 4096
+# frames per uniform buffer in _sample_chunk: bounds the sampler's memory
+SAMPLE_BLOCK_FRAMES = 512
 CSV_HEADER = "g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying"
 HISTOGRAM_KEYS = tuple(c.id for c in CATALOG) + (DEGREE0_LABEL, OTHER_LABEL)
 # residual components with more users than this can only be "Other"
 _MAX_CLASS_SIZE = max(c.size for c in CATALOG)
 
-_MASK64 = (1 << 64) - 1
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -97,6 +101,8 @@ class SweepPlan:
             raise PlanError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.workers < 1:
             raise PlanError(f"workers must be >= 1, got {self.workers}")
+        if not 0 <= self.seed < 2**64:
+            raise PlanError(f"seed must be in [0, 2**64), got {self.seed}")
         loads = tuple(float(g) for g in self.loads)
         object.__setattr__(self, "loads", loads)
         if not loads:
@@ -156,11 +162,18 @@ class SweepRow:
 # per-frame streams and chunk-level sampling/decoding
 
 
+def _philox_key(seed: int, point_index: int) -> int:
+    """128-bit Philox key of load point ``point_index`` of a sweep seeded
+    ``seed``; the one key behind both the reference and the chunk streams."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed | (point_index << 64)
+
+
 def frame_generator(seed: int, point_index: int, frame_index: int) -> Generator:
     """Independent stream for one frame: Philox keyed by (seed, point),
     counter block selected by the frame index."""
-    key = (seed & _MASK64) | ((point_index & _MASK64) << 64)
-    return Generator(Philox(key=key, counter=frame_index << 128))
+    return Generator(Philox(key=_philox_key(seed, point_index), counter=frame_index << 128))
 
 
 @dataclass(frozen=True)
@@ -176,54 +189,139 @@ class _ChunkSpec:
     keying: str
 
 
+class _FrameStreams:
+    """The per-frame streams of one load point behind a single Philox, whose
+    counter is repositioned for each frame instead of rebuilt."""
+
+    def __init__(self, seed: int, point_index: int):
+        self._bg = Philox(key=_philox_key(seed, point_index))
+        self._gen = Generator(self._bg)
+        self._state = self._bg.state
+
+    def fill(self, frame: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the first ``out.size`` uniforms of frame ``frame``,
+        the same words ``frame_generator(seed, point_index, frame)`` yields."""
+        state = self._state
+        state["state"]["counter"] = np.array([0, 0, frame, 0], dtype=np.uint64)
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        state["uinteger"] = 0
+        self._bg.state = state
+        self._gen.random(out=out)
+        return out
+
+
+def _spare_words(probs, n: int, m: int) -> int:
+    """Uniforms each frame's buffer row carries past its first draw, for
+    duplicate-slot redraws: q per expected redrawn row plus a margin, at most
+    the first draw's own length. Frames that need more draw a longer row."""
+    q = len(probs) - 1
+    rows = 0.0
+    for l, p in enumerate(probs):
+        if p > 0.0:
+            clash = 1.0 - math.prod(1.0 - i / n for i in range(l))
+            rows += m * p * clash / (1.0 - clash)  # mean redraws of a degree-l row
+    return min(q * math.ceil(rows + 4.0 * math.sqrt(rows) + 1.0), m * (1 + q))
+
+
+def _has_repeat(slots: np.ndarray, valid: np.ndarray, n: int) -> np.ndarray:
+    """Rows (last axis) whose valid slots are not all distinct."""
+    q = slots.shape[-1]
+    padded = np.where(valid, slots, np.arange(n, n + q, dtype=np.int32))
+    padded.sort(axis=-1)
+    return (padded[..., 1:] == padded[..., :-1]).any(axis=-1)
+
+
+def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps, spare):
+    """Frames frame_lo..frame_lo+B-1 as (degrees (B, m), slots (B, m, q),
+    survive (B, m, q)), each frame exactly ``frame_model.draw_frame`` on its
+    stream.
+
+    One buffer row per frame holds its first-draw uniforms (degrees, slots,
+    erasures) then ``spare`` more; everything after the fill runs across
+    the block. In each redraw round the k-th repeating row of frame f takes
+    the q words from ``pos[f] + k*q``, the order ``draw_frame`` reads them.
+    """
+    q = cdf.size - 1
+    first = m * (1 + q) if eps == 0.0 else m * (1 + 2 * q)
+    width = first + spare
+    x = np.empty((B, width))
+    for row in range(B):
+        streams.fill(frame_lo + row, x[row])
+
+    deg = np.searchsorted(cdf, x[:, :m], side="right").astype(np.int16)
+    np.minimum(deg, q, out=deg)  # guard against cdf[-1] rounding just below 1
+    valid = np.arange(q, dtype=np.int16) < deg[..., None]
+    slots = (x[:, m : m + m * q].reshape(B, m, q) * n).astype(np.int32)
+
+    pos = np.full(B, first, dtype=np.int64)  # next unread word of each frame
+    longer: dict[int, np.ndarray] = {}  # rows of frames that outran the spare
+    fr, us = np.nonzero(_has_repeat(slots, valid, n))  # (frame, user) order
+    while fr.size:
+        counts = np.bincount(fr, minlength=B)
+        rank = np.arange(fr.size) - (np.cumsum(counts) - counts)[fr]
+        cols = (pos[fr] + rank * q)[:, None] + np.arange(q)
+        pos += counts * q
+        words = np.empty((fr.size, q))
+        inside = pos[fr] <= width
+        words[inside] = x[fr[inside, None], cols[inside]]
+        for f in np.unique(fr[~inside]).tolist():
+            row = longer.get(f)
+            if row is None or row.size < pos[f]:
+                # double the length so a frame redrawing for many rounds
+                # regenerates O(its total words), not O(words) per round
+                row = longer[f] = streams.fill(frame_lo + f, np.empty(2 * int(pos[f])))
+            sel = fr == f
+            words[sel] = row[cols[sel]]
+        slots[fr, us] = (words * n).astype(np.int32)
+        again = _has_repeat(slots[fr, us], valid[fr, us], n)
+        fr, us = fr[again], us[again]
+
+    if eps > 0.0:
+        survive = valid & (x[:, m + m * q : first].reshape(B, m, q) >= eps)
+    else:
+        survive = valid
+    return deg, slots, survive
+
+
 def _sample_chunk(spec: _ChunkSpec):
     """Sample frames frame_lo..frame_hi-1, one Philox stream per frame.
 
     Returns (orig, recv, e_frames, e_users, e_slots): drawn and surviving
     degree matrices of shape (B, m) plus flat edge arrays ordered by
-    (frame, user).
+    (frame, user, column). Frames go through ``_sample_block`` in blocks of
+    ``SAMPLE_BLOCK_FRAMES``, which bounds the uniform buffer.
     """
     n, m, eps = spec.n, spec.m, spec.epsilon
+    q = len(spec.probs) - 1
     B = spec.frame_hi - spec.frame_lo
     cdf = np.cumsum(spec.probs)
-
-    key = (spec.seed & _MASK64) | ((spec.point_index & _MASK64) << 64)
-    bg = Philox(key=key)
-    gen = Generator(bg)
-    state = bg.state
-    counter = np.zeros(4, dtype=np.uint64)
+    spare = _spare_words(spec.probs, n, m)
+    streams = _FrameStreams(spec.seed, spec.point_index)
 
     orig = np.empty((B, m), dtype=np.int16)
     recv = np.empty((B, m), dtype=np.int16)
-    edge_counts = np.empty(B, dtype=np.int64)
-    e_users: list[np.ndarray] = []
-    e_slots: list[np.ndarray] = []
+    e_frames, e_users, e_slots = [], [], []
+    for lo in range(0, B, SAMPLE_BLOCK_FRAMES):
+        hi = min(lo + SAMPLE_BLOCK_FRAMES, B)
+        deg, slots, survive = _sample_block(
+            streams, spec.frame_lo + lo, hi - lo, cdf, n, m, eps, spare
+        )
+        orig[lo:hi] = deg
+        recv[lo:hi] = survive.sum(axis=2, dtype=np.int16)
+        edges = np.flatnonzero(survive)  # (frame, user, column) order
+        e_frames.append((edges // (m * q) + lo).astype(np.int32))
+        e_users.append((edges // q % m).astype(np.int32))
+        e_slots.append(slots.reshape(-1)[edges])
+    return orig, recv, np.concatenate(e_frames), np.concatenate(e_users), np.concatenate(e_slots)
 
-    for row in range(B):
-        # reposition the counter instead of rebuilding the bit generator;
-        # equivalent to frame_generator(seed, point_index, frame_lo + row)
-        counter[2] = spec.frame_lo + row
-        state["state"]["counter"] = counter
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        bg.state = state
 
-        deg, slots, survive = draw_frame(gen, cdf, n, m, eps)
-        uu, cc = np.nonzero(survive)
-        edge_counts[row] = uu.size
-        e_users.append(uu)
-        e_slots.append(slots[uu, cc])
-        orig[row] = deg
-        recv[row] = survive.sum(axis=1, dtype=np.int16)
-
-    ef = np.repeat(np.arange(B, dtype=np.int32), edge_counts)
-    if e_users:
-        eu = np.concatenate(e_users).astype(np.int32)
-        es = np.concatenate(e_slots)
-    else:
-        eu = es = np.zeros(0, dtype=np.int32)
-    return orig, recv, ef, eu, es
+def _sorted_unique(idx: np.ndarray, size: int) -> np.ndarray:
+    """``np.unique`` of indices in [0, size), by marking a mask rather than
+    sorting or hashing."""
+    mark = np.zeros(size, dtype=bool)
+    mark[idx] = True
+    return np.flatnonzero(mark)
 
 
 def _peel_chunk(B, m, n, ef, eu, es, recv):
@@ -249,7 +347,7 @@ def _peel_chunk(B, m, n, ef, eu, es, recv):
         if not frontier.size:
             break
         gid = (frontier // n) * m + SU[frontier].astype(np.int64)
-        gid = np.unique(gid)
+        gid = _sorted_unique(gid, B * m)
         gid = gid[~resolved[gid]]
         if not gid.size:
             break
@@ -270,7 +368,7 @@ def _peel_chunk(B, m, n, ef, eu, es, recv):
             np.subtract.at(C, removed, 1)
             np.subtract.at(SU, removed, eu[idx])
 
-        touched = np.unique(removed)
+        touched = _sorted_unique(removed, nslots)
         frontier = touched[C[touched] == 1]
     return resolved.reshape(B, m), indptr
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import csa_floor
 from csa_floor.cli import main, parse_loads
 from csa_floor.harness import CSV_HEADER
 
@@ -245,6 +248,11 @@ class TestErrorPaths:
             == 1
         )
 
+    def test_negative_seed_exits_1(self, capsys):
+        argv = ["simulate", "--dist", "2:1.0", "--n", "10", "--g", "0.5", "--frames", "10"]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_unwritable_output_exits_2(self, capsys):
         code = main(
             [
@@ -266,10 +274,15 @@ class TestErrorPaths:
 
 
 def test_console_entry_point_installed():
+    # the child imports the same package as this process, also when only
+    # pytest's own path setting (not PYTHONPATH) makes it importable
+    src = str(Path(csa_floor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-m", "csa_floor", "threshold", "--dist", "2:1.0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0
     assert float(out.stdout.strip()) == pytest.approx(0.5, abs=0.005)

@@ -69,6 +69,12 @@ class TestPlanValidation:
         with pytest.raises(PlanError):
             SweepPlan(dist=ref_dist, n=200, epsilon=0.0, loads=(0.5,), frames=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, ref_dist, seed):
+        # a masked seed would silently reuse another seed's streams
+        with pytest.raises(PlanError, match="seed"):
+            SweepPlan(dist=ref_dist, n=200, epsilon=0.0, loads=(0.5,), frames=10, seed=seed)
+
     def test_load_rounding_to_zero_users(self, ref_dist):
         with pytest.raises(PlanError):
             SweepPlan(dist=ref_dist, n=9, epsilon=0.0, loads=(0.05,), frames=10)
@@ -88,6 +94,12 @@ class TestFrameGenerator:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    def test_seed_outside_64_bits_rejected(self):
+        # seed 2**64 at point 0 would otherwise be seed 0 at point 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                frame_generator(seed, 0, 0)
 
 
 @pytest.fixture(scope="module")
