@@ -100,7 +100,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("threshold", help="density-evolution load threshold")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("optimize", help="degree-distribution search")
     p.add_argument("--support", required=True, help="allowed degrees, e.g. 3,8")
@@ -212,7 +211,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_threshold(args) -> int:
     dist = parse_distribution(args.dist)
-    print(f"{threshold(dist, tol=args.tol):.6g}")
+    print(f"{threshold(dist):.6g}")
     return 0
 
 

@@ -9,8 +9,12 @@ fixed-point recursion: starting from q = p = 1,
 
 where lambda_e is the edge-perspective degree polynomial and dbar the mean
 degree. The unresolved user fraction at the fixed point is
-sum_l lambda_l p^l. The threshold is the largest load whose fixed point
-leaves a vanishing unresolved fraction.
+sum_l lambda_l p^l. The threshold g* is the largest load whose fixed point
+leaves a vanishing unresolved fraction. A nonzero fixed point p exists at
+load g exactly when g = -ln(1 - p) / (dbar * lambda_e(p)), so g* is the
+infimum of that ratio over p in (0, 1); ``threshold`` computes it in that
+closed form, and ``de_fixed_point`` keeps the recursion for traces and the
+unresolved fraction at a given load.
 
 The recursion assumes every user has degree >= 2: with mass on degree 0 or 1
 it stops describing the actual decoder (a degree-1 user occupies one slot
@@ -25,11 +29,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import DegreeDistribution
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
-BISECTION_WIDTH = 1e-4
+GRID_POINTS = 2048
+REFINE_WIDTH = 1e-12
+_GRID = np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
+_GRID_NUMERATOR = -np.log1p(-_GRID)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DegreeOneUnsupported(ValueError):
@@ -52,10 +62,11 @@ def _check_min_degree(dist: DegreeDistribution):
         )
 
 
-def _unresolved(probs: tuple[float, ...], p: float) -> float:
+def _horner(coeffs, p: float) -> float:
+    """sum_k coeffs[k] p^k."""
     acc = 0.0
-    for lam in reversed(probs):
-        acc = acc * p + lam
+    for c in reversed(coeffs):
+        acc = acc * p + c
     return acc
 
 
@@ -98,55 +109,44 @@ def de_fixed_point(
         q = acc
     return DeResult(
         fixed_point_q=q,
-        unresolved_fraction=_unresolved(dist.probs, p),
+        unresolved_fraction=_horner(dist.probs, p),
         converged=converged,
         iterations=iterations,
     )
 
 
-def _below_threshold(
-    dist: DegreeDistribution, g: float, tol: float, max_iter: int
-) -> bool:
-    """Classify one load without always running to full convergence.
+def threshold(dist: DegreeDistribution) -> float:
+    """Load threshold g*: the supremum of loads whose recursion converges to
+    zero, capped at 1.
 
-    Early exit on the way down: q is non-increasing, and the unresolved
-    fraction is at most (g*dbar*q)^2 for min degree 2, so once that bound
-    drops under tol the limit is certainly below it.
-    """
-    edge = dist.edge_perspective()
-    dbar = dist.mean_degree()
-    rate = g * dbar
-    q = 1.0
-    p = 1.0
-    for _ in range(max_iter):
-        p = 1.0 - math.exp(-rate * q)
-        acc = 0.0
-        for c in reversed(edge):
-            acc = acc * p + c
-        if (rate * acc) ** 2 < tol:
-            return True
-        if abs(acc - q) < 1e-13 * max(acc, 1e-300):
-            break
-        q = acc
-    return _unresolved(dist.probs, p) < tol
-
-
-def threshold(dist: DegreeDistribution, tol: float = 1e-8) -> float:
-    """Largest load with unresolved fraction below tol, by bisection on [0, 1].
-
-    Bisection runs to width BISECTION_WIDTH and returns the certified-below
-    endpoint of the final bracket.
+    g* is the infimum over p in (0, 1) of -ln(1 - p) / sum_l l lambda_l p^(l-1),
+    the load at which p is a fixed point of the recursion: the minimum over a
+    fixed grid of GRID_POINTS interior points, refined by golden section
+    between the grid argmin's neighbours, or the p -> 0 limit 1 / (2 lambda_2)
+    when smaller, which is where the infimum sits for degree-2-heavy laws.
     """
     _check_min_degree(dist)
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    lo, hi = 0.0, 1.0
-    if not _below_threshold(dist, hi, tol, DEFAULT_MAX_ITER):
-        while hi - lo > BISECTION_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if _below_threshold(dist, mid, tol, DEFAULT_MAX_ITER):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    return hi
+    weights = [l * lam for l, lam in enumerate(dist.probs)][1:]  # coefficient of p^(l-1)
+    values = _GRID_NUMERATOR / np.polynomial.polynomial.polyval(_GRID, weights)
+    i = int(np.argmin(values))
+
+    def f(p: float) -> float:
+        return -math.log1p(-p) / _horner(weights, p)
+
+    a = float(_GRID[i - 1]) if i > 0 else 0.0
+    b = float(_GRID[i + 1]) if i + 1 < GRID_POINTS else 1.0
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > REFINE_WIDTH:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    g_star = min(float(values[i]), fc, fd)
+    if dist.probs[2] > 0.0:
+        g_star = min(g_star, 0.5 / dist.probs[2])
+    return min(1.0, g_star)

@@ -64,6 +64,13 @@ class TestThreshold:
     def test_degree1_rejected_as_config_error(self, capsys):
         assert main(["threshold", "--dist", "1:1.0"]) == 1
 
+    @pytest.mark.parametrize(
+        "dist,printed", [("2:1.0", "0.5"), ("3:1.0", "0.818469"), ("2:0.25,3:0.6,8:0.15", "0.892304")]
+    )
+    def test_prints_closed_form_threshold(self, capsys, dist, printed):
+        assert main(["threshold", "--dist", dist]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+
 
 class TestSimulate:
     def test_csv_written_with_exact_header(self, capsys, tmp_path):
@@ -273,16 +280,22 @@ class TestErrorPaths:
         assert "runtime failure" in capsys.readouterr().err
 
 
-def test_console_entry_point_installed():
+def _run_child(*args):
     # the child imports the same package as this process, also when only
     # pytest's own path setting (not PYTHONPATH) makes it importable
     src = str(Path(csa_floor.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-m", "csa_floor", "threshold", "--dist", "2:1.0"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_installed():
+    out = _run_child("-m", "csa_floor", "threshold", "--dist", "2:1.0")
     assert out.returncode == 0
     assert float(out.stdout.strip()) == pytest.approx(0.5, abs=0.005)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize alone adds about half a second to every process start
+    out = _run_child("-c", "import csa_floor, sys; print('scipy.optimize' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,9 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from csa_floor.density_evolution import (
     DegreeOneUnsupported,
@@ -9,6 +14,32 @@ from csa_floor.distributions import ChannelModel, induce, validate
 
 PURE2 = validate([0, 0, 1.0])
 PURE3 = validate([0, 0, 0, 1.0])
+DENSE_GRID = 200_000
+
+
+@st.composite
+def laws(draw):
+    """Laws on 1-4 degrees in 2..12, with or without degree-2 mass."""
+    others = draw(st.lists(st.integers(3, 12), min_size=0, max_size=3, unique=True))
+    if draw(st.booleans()) or not others:
+        others.append(2)
+    weights = [draw(st.floats(0.05, 1.0)) for _ in others]
+    probs = [0.0] * 13
+    for degree, w in zip(others, weights):
+        probs[degree] = w / math.fsum(weights)
+    return validate(probs)
+
+
+def dense_grid_threshold(dist):
+    """min(1, inf over p of -ln(1-p) / sum_l l lambda_l p^(l-1)) from a dense
+    uniform grid plus the p -> 0 limit 1 / (2 lambda_2)."""
+    lam = np.asarray(dist.probs)
+    p = np.linspace(0.0, 1.0, DENSE_GRID + 1)[1:-1]
+    denom = sum(l * lam[l] * p ** (l - 1) for l in range(2, lam.size))
+    g_star = float(np.min(-np.log1p(-p) / denom))
+    if lam[2] > 0.0:
+        g_star = min(g_star, 1.0 / (2.0 * lam[2]))
+    return min(1.0, g_star)
 
 
 class TestFixedPoint:
@@ -61,10 +92,30 @@ class TestFixedPoint:
 
 class TestThreshold:
     def test_pure_degree2_is_half(self):
-        assert threshold(PURE2) == pytest.approx(0.5, abs=0.005)
+        # the infimum is the p -> 0 limit 1 / (2 lambda_2), taken exactly
+        assert threshold(PURE2) == 0.5
 
     def test_pure_degree3(self):
-        assert 0.80 < threshold(PURE3) < 0.84
+        assert threshold(PURE3) == pytest.approx(0.8185, abs=1e-4)
+
+    def test_pure_degree4(self):
+        assert threshold(validate([0, 0, 0, 0, 1.0])) == pytest.approx(0.7723, abs=1e-4)
+
+    # x^12's minimum sits in a narrow basin near p = 0.976, where the bare
+    # grid argmin is 2.7e-6 too high; the refinement is what closes the gap
+    @example(validate([0.0] * 12 + [1.0]))
+    @given(laws())
+    def test_matches_dense_grid(self, dist):
+        assert threshold(dist) == pytest.approx(dense_grid_threshold(dist), abs=1e-6)
+
+    @given(laws())
+    def test_separates_converging_from_stuck_loads(self, dist):
+        g_star = threshold(dist)
+        below = de_fixed_point(dist, g_star * (1 - 1e-3))
+        assert below.unresolved_fraction < 1e-8
+        if g_star < 1.0:
+            above = de_fixed_point(dist, g_star * (1 + 1e-3))
+            assert above.unresolved_fraction > 1e-8
 
     def test_reference_mixture_beats_pure_degree3(self, ref_dist):
         # the 0.25/0.6/0.15 mixture is known to have a higher threshold

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from csa_floor.distributions import ChannelModel, parse_distribution, validate
 from csa_floor.harness import (
     CSV_HEADER,
     HISTOGRAM_KEYS,
+    SAMPLE_BLOCK_FRAMES,
     PlanError,
     SweepPlan,
     confidence_interval,
@@ -188,6 +190,41 @@ class TestDeterminism:
             run_sweep(plan)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize(
+        "epsilon,keying,csv_sha256,json_sha256",
+        [
+            (
+                0.0,
+                DegreeKeying.INDUCED,
+                "ab8b10faa4bdcd026b66bf7e180dd086f66eecf78d73b87ce3b84aad325656e2",
+                "8a1b820dd8410daab243d0f4d672f473a6f7f9df6e7d58b5a6c5dbd336ed679b",
+            ),
+            (
+                0.03,
+                DegreeKeying.ORIGINAL,
+                "bf610d9d67b4532c9b28689b9b19497de77ca36df4fdbddf8679ad926623849d",
+                "8db0854c00926e1bdfb42f6e30f6a812b6241dcdc9129f1eb7dc278ee6ea51b5",
+            ),
+        ],
+    )
+    def test_multi_block_bytes_pinned(self, ref_dist, tmp_path, epsilon, keying, csv_sha256, json_sha256):
+        # three sampler blocks per load, the last one partial
+        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+        plan = SweepPlan(
+            dist=ref_dist,
+            n=200,
+            epsilon=epsilon,
+            loads=(0.2, 0.5),
+            frames=2 * SAMPLE_BLOCK_FRAMES + 7,
+            seed=20141209,
+            keying=keying,
+            out_csv=str(csv_path),
+            out_json=str(json_path),
+        )
+        run_sweep(plan)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha256
 
     def test_rerun_identical(self, ref_dist):
         plan = SweepPlan(
