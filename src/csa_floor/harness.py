@@ -12,9 +12,9 @@ of frames at once, reading each frame's words in the order
 ``frame_model.draw_frame`` does. Decoding is vectorized across the chunk:
 slot occupancy counters plus per-slot sums of user indices identify the
 unique user in any singleton slot, and a frontier of touched slots drives
-peeling in O(edges) total work. Residual components are labelled with
-scipy's connected components and classified against the stopping-set
-catalog.
+peeling in O(edges) total work. Residual components are labelled by
+min-label propagation over the residual user/slot edges, in numpy, and the
+small ones are classified against the stopping-set catalog.
 
 Each chunk stage has a reference path that tests compare it against on the
 same frames: ``sample_frame(cfg, frame_generator(seed, i, f))`` for
@@ -24,6 +24,7 @@ plus ``classify`` for classification.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -32,8 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution
@@ -373,46 +372,62 @@ def _peel_chunk(B, m, n, ef, eu, es, recv):
     return resolved.reshape(B, m), indptr
 
 
+def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, int]:
+    """Connected components of a bipartite user/slot graph whose k-th edge
+    joins user rank ``u_inv[k]`` in [0, nu) to slot code ``rcode[k]`` in
+    [0, nslots). Returns (labels, rounds): each user's component label, the
+    smallest user rank in its component, and the propagation rounds taken.
+
+    Labels only fall: each round takes every slot's minimum user label, then
+    every user's minimum slot label, then jumps pointers (label of label)
+    until they settle. A round that moves no label ends the propagation.
+    """
+    labels = np.arange(nu, dtype=np.int32)
+    slot_lab = np.full(nslots, nu, dtype=np.int32)
+    for rounds in itertools.count(1):
+        np.minimum.at(slot_lab, rcode, labels[u_inv])
+        new = labels.copy()
+        np.minimum.at(new, u_inv, slot_lab[rcode])
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, labels):
+            return labels, rounds
+        labels = new
+
+
 def _classify_residuals(B, m, n, ef, eu, es, resolved_flat, recv, indptr) -> Counter:
     """Histogram of residual component classes for a decoded chunk."""
     hist: Counter = Counter()
-    degree0 = int(((recv.reshape(-1) == 0) & ~resolved_flat).sum())
+    recv_flat = recv.reshape(-1)
+    degree0 = int(((recv_flat == 0) & ~resolved_flat).sum())
     if degree0:
         hist[DEGREE0_LABEL] += degree0
 
-    if ef.size == 0:
+    # unresolved users with edges, by global id; edges are ordered by
+    # (frame, user, column), so repeating each user's flag over its edges
+    # selects the residual ones, grouped by user in id order
+    users = np.flatnonzero(~resolved_flat & (recv_flat > 0))
+    if not users.size:
         return hist
-    edge_gid = ef.astype(np.int64) * m + eu
-    residual = ~resolved_flat[edge_gid]
-    if not residual.any():
-        return hist
-    rg = edge_gid[residual]
-    rcode = ef[residual].astype(np.int64) * n + es[residual]
-
-    u_nodes, u_inv = np.unique(rg, return_inverse=True)
-    s_nodes, s_inv = np.unique(rcode, return_inverse=True)
-    nu = u_nodes.size
-    total_nodes = nu + s_nodes.size
-    graph = coo_matrix(
-        (np.ones(rg.size, dtype=np.int8), (u_inv, nu + s_inv)),
-        shape=(total_nodes, total_nodes),
-    )
-    ncomp, labels = connected_components(graph, directed=False)
-    comp_of_user = labels[:nu]
-    sizes = np.bincount(comp_of_user, minlength=ncomp)
+    counts = recv_flat[users]
+    residual = np.repeat(~resolved_flat, recv_flat)
+    rcode = np.repeat(users // m * n, counts) + es[residual]
+    u_inv = np.repeat(np.arange(users.size), counts)
+    labels, _ = _component_labels(rcode, u_inv, users.size, B * n)
+    sizes = np.bincount(labels, minlength=users.size)
 
     hist[OTHER_LABEL] += int((sizes > _MAX_CLASS_SIZE).sum())
 
-    small = np.flatnonzero((sizes >= 1) & (sizes <= _MAX_CLASS_SIZE))
+    small = np.flatnonzero(sizes[labels] <= _MAX_CLASS_SIZE)
     if small.size:
-        order = np.argsort(comp_of_user, kind="stable")
-        sorted_comp = comp_of_user[order]
-        lo = np.searchsorted(sorted_comp, small, side="left")
-        hi = np.searchsorted(sorted_comp, small, side="right")
-        for a, b in zip(lo, hi):
-            gids = u_nodes[order[a:b]]
+        small = small[np.argsort(labels[small], kind="stable")]
+        bounds = np.flatnonzero(np.diff(labels[small])) + 1
+        for ranks in np.split(small, bounds):
             slot_sets = [
-                frozenset(es[indptr[g] : indptr[g + 1]].tolist()) for g in gids
+                frozenset(es[indptr[g] : indptr[g + 1]].tolist()) for g in users[ranks]
             ]
             hist[classify_slot_sets(slot_sets)] += 1
     return hist

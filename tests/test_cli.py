@@ -294,8 +294,9 @@ def test_console_entry_point_installed():
     assert float(out.stdout.strip()) == pytest.approx(0.5, abs=0.005)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize alone adds about half a second to every process start
-    out = _run_child("-c", "import csa_floor, sys; print('scipy.optimize' in sys.modules)")
+def test_import_leaves_scipy_unloaded():
+    # scipy.sparse alone took about a third of a second of every process start
+    code = "import csa_floor, sys; print(any(k.split('.')[0] == 'scipy' for k in sys.modules))"
+    out = _run_child("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"

@@ -3,23 +3,28 @@
 Frame f of load point i is ``sample_frame(cfg, frame_generator(seed, i, f))``.
 For every frame of a random chunk, the vectorized sample, peel and classify
 stages must reproduce that graph, its ``decoder.peel`` outcome and the
-catalog labels of its residual components.
+catalog labels of its residual components. The residual labeller is also
+checked on its own against scipy's connected components.
 """
 
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from csa_floor import harness
 from csa_floor.decoder import peel
 from csa_floor.distributions import ChannelModel, DegreeDistribution
-from csa_floor.frame_model import FrameConfig, sample_frame
+from csa_floor.frame_model import FrameConfig, round_half_up, sample_frame
 from csa_floor.harness import (
     SAMPLE_BLOCK_FRAMES,
     _ChunkSpec,
     _classify_residuals,
+    _component_labels,
     _peel_chunk,
     _sample_chunk,
     frame_generator,
@@ -51,9 +56,7 @@ def chunk_cases(draw):
     return spec, FrameConfig(m=m, n=n, dist=dist, channel=ChannelModel(eps))
 
 
-@given(chunk_cases())
-def test_chunk_kernel_matches_reference_path(case):
-    spec, cfg = case
+def _check_chunk_against_reference(spec, cfg):
     B, m, n = spec.frame_hi - spec.frame_lo, spec.m, spec.n
     orig, recv, ef, eu, es = _sample_chunk(spec)
     resolved, indptr = _peel_chunk(B, m, n, ef, eu, es, recv)
@@ -75,6 +78,103 @@ def test_chunk_kernel_matches_reference_path(case):
         assert resolved[row].tolist() == list(outcome.resolved)
         expected_hist.update(classify(c) for c in components(outcome.residual))
     assert +hist == expected_hist
+    return hist
+
+
+@given(chunk_cases())
+def test_chunk_kernel_matches_reference_path(case):
+    _check_chunk_against_reference(*case)
+
+
+@pytest.mark.parametrize("g", [0.9, 1.0])
+def test_large_residual_chunks_match_reference(ref_dist, g):
+    """Past the threshold most frames keep a residual of tens to hundreds of
+    users, which the labeller must join across many propagation rounds."""
+    n, frames = 200, 300
+    m = round_half_up(g * n)
+    spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 31, 1, 5000, 5000 + frames, "induced")
+    cfg = FrameConfig(m=m, n=n, dist=ref_dist, channel=ChannelModel(0.0))
+    hist = _check_chunk_against_reference(spec, cfg)
+    assert hist["Other"] > frames // 2
+
+
+def _path(length):
+    """User i holds slots i and i+1."""
+    return [(i, i + 1) for i in range(length)]
+
+
+def _ladder(length):
+    """Rails of slots 2i and 2i+1, one user per rail step and one per rung."""
+    rails = [(2 * i + r, 2 * i + 2 + r) for i in range(length) for r in (0, 1)]
+    return rails + [(2 * i, 2 * i + 1) for i in range(length + 1)]
+
+
+def _chain3(length):
+    """Degree-3 users, each sharing its last slot with the next one's first."""
+    return [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(length)]
+
+
+def _bipartite(shapes):
+    """Disjoint components as (user slot tuples, slot count), slots numbered
+    apart."""
+    users, base = [], 0
+    for slots in shapes:
+        users += [tuple(base + s for s in u) for u in slots]
+        base += 1 + max(s for u in slots for s in u)
+    return users, base
+
+
+def _edges(users):
+    """(slot code, user rank) of every edge; user rank r holds users[r]."""
+    u_inv = np.repeat(np.arange(len(users)), [len(slots) for slots in users])
+    return np.array([s for slots in users for s in slots]), u_inv
+
+
+@st.composite
+def long_components(draw):
+    """Paths, ladders and degree-3 chains with shuffled user ranks and slot
+    codes, so the smallest rank may sit anywhere along a long component."""
+    shape = st.one_of(
+        st.integers(1, 80).map(_path),
+        st.integers(1, 25).map(_ladder),
+        st.integers(1, 40).map(_chain3),
+    )
+    users, nslots = _bipartite(draw(st.lists(shape, min_size=1, max_size=4)))
+    rank = draw(st.permutations(range(len(users))))
+    code = draw(st.permutations(range(2 * nslots)))
+    by_rank = [None] * len(users)
+    for u, slots in enumerate(users):
+        by_rank[rank[u]] = [code[s] for s in slots]
+    return by_rank, 2 * nslots
+
+
+@given(long_components())
+def test_component_labels_match_scipy(case):
+    users, nslots = case
+    nu = len(users)
+    rcode, u_inv = _edges(users)
+    labels, _ = _component_labels(rcode, u_inv, nu, nslots)
+
+    graph = coo_matrix(
+        (np.ones(rcode.size), (u_inv, nu + rcode)), shape=(nu + nslots, nu + nslots)
+    )
+    _, comp = connected_components(graph, directed=False)
+    comp = comp[:nu]
+    smallest = np.full(comp.max() + 1, nu)
+    np.minimum.at(smallest, comp, np.arange(nu))
+    assert labels.tolist() == smallest[comp].tolist()
+
+
+@pytest.mark.parametrize("shape", [_path(200), _ladder(100), _chain3(200)])
+def test_long_chain_with_rising_ranks_settles_in_three_rounds(shape):
+    """Ranks rising along a chain: a propagation round points each user at a
+    smaller neighbour and pointer jumping carries rank 0 along the whole
+    chain, so a round or two moves every label and one more confirms.
+    Without jumping the labels move one hop per round."""
+    users, nslots = _bipartite([shape])
+    labels, rounds = _component_labels(*_edges(users), len(users), nslots)
+    assert not labels.any()
+    assert rounds <= 3
 
 
 def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
