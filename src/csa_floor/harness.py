@@ -10,9 +10,11 @@ counter once per frame and pulls that frame's uniforms in one call; degrees,
 slots, duplicate-slot redraws and erasures are then computed across a block
 of frames at once, reading each frame's words in the order
 ``frame_model.draw_frame`` does. Decoding is vectorized across the chunk:
-slot occupancy counters plus per-slot sums of user indices identify the
-unique user in any singleton slot, and a frontier of touched slots drives
-peeling in O(edges) total work. Residual components are labelled by
+one packed int64 per slot holds its occupancy in the high bits and the sum
+of its user indices in the low 32, which name the user of any singleton
+slot. Each peeling wave resolves the users of the current singleton slots
+and updates the packed counters of their edges in one scatter, in time
+proportional to the edges it removes. Residual components are labelled by
 min-label propagation over the residual user/slot edges, in numpy, and the
 small ones are classified against the stopping-set catalog.
 
@@ -43,12 +45,18 @@ from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_se
 CHUNK_FRAMES = 4096
 # frames per uniform buffer in _sample_chunk: bounds the sampler's memory
 SAMPLE_BLOCK_FRAMES = 512
+# SweepPlan rejects plans whose largest degree needs more redraws per row
+MAX_ROW_REDRAWS = 64
 CSV_HEADER = "g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying"
 HISTOGRAM_KEYS = tuple(c.id for c in CATALOG) + (DEGREE0_LABEL, OTHER_LABEL)
 # residual components with more users than this can only be "Other"
 _MAX_CLASS_SIZE = max(c.size for c in CATALOG)
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# _peel_chunk's packed slot state: what one edge adds, and the index-sum bits
+_EDGE = np.int64(1 << 32)
+_LOW = np.int64((1 << 32) - 1)
 
 
 class PlanError(ValueError):
@@ -111,9 +119,15 @@ class SweepPlan:
                 raise PlanError(f"loads must be in (0, 2], got {g}")
             if round_half_up(g * self.n) < 1:
                 raise PlanError(f"load {g} at n = {self.n} rounds to zero users")
-        if self.n < self.dist.max_support_degree():
+        l = self.dist.max_support_degree()
+        if self.n < l:
+            raise PlanError(f"n = {self.n} cannot host degree-{l} users")
+        # slots are placed by whole-row rejection, which crawls near l = n
+        redraws = _row_redraws(l, self.n)
+        if redraws > MAX_ROW_REDRAWS:
             raise PlanError(
-                f"n = {self.n} cannot host degree-{self.dist.max_support_degree()} users"
+                f"degree-{l} users at n = {self.n} need {redraws:.0f} expected "
+                f"slot redraws per row, more than {MAX_ROW_REDRAWS}; raise n"
             )
 
 
@@ -210,16 +224,19 @@ class _FrameStreams:
         return out
 
 
+def _row_redraws(l: int, n: int) -> float:
+    """Expected redraws of a degree-l row of slots at frame length n:
+    clash / (1 - clash), clash being the chance that l uniform slots repeat."""
+    clash = 1.0 - math.prod(1.0 - i / n for i in range(l))
+    return clash / (1.0 - clash) if clash < 1.0 else math.inf
+
+
 def _spare_words(probs, n: int, m: int) -> int:
     """Uniforms each frame's buffer row carries past its first draw, for
     duplicate-slot redraws: q per expected redrawn row plus a margin, at most
     the first draw's own length. Frames that need more draw a longer row."""
     q = len(probs) - 1
-    rows = 0.0
-    for l, p in enumerate(probs):
-        if p > 0.0:
-            clash = 1.0 - math.prod(1.0 - i / n for i in range(l))
-            rows += m * p * clash / (1.0 - clash)  # mean redraws of a degree-l row
+    rows = sum(m * p * _row_redraws(l, n) for l, p in enumerate(probs) if p > 0.0)
     return min(q * math.ceil(rows + 4.0 * math.sqrt(rows) + 1.0), m * (1 + q))
 
 
@@ -315,60 +332,46 @@ def _sample_chunk(spec: _ChunkSpec):
     return orig, recv, np.concatenate(e_frames), np.concatenate(e_users), np.concatenate(e_slots)
 
 
-def _sorted_unique(idx: np.ndarray, size: int) -> np.ndarray:
-    """``np.unique`` of indices in [0, size), by marking a mask rather than
-    sorting or hashing."""
-    mark = np.zeros(size, dtype=bool)
-    mark[idx] = True
-    return np.flatnonzero(mark)
-
-
 def _peel_chunk(B, m, n, ef, eu, es, recv):
-    """Vectorized peeling of a whole chunk; returns the resolved mask (B, m).
+    """Vectorized peeling of a whole chunk; returns (resolved (B, m), indptr).
 
-    Occupancy counters C and per-slot user-index sums SU identify the unique
-    user of any singleton slot; only slots touched by edge removals can
-    become singletons, so the frontier does O(edges) total work.
+    ``state`` packs each slot's counters into one int64: every edge in the
+    slot adds ``(1 << 32) + user index``, so ``state >> 32`` is the slot's
+    occupancy and, in a singleton slot, the low 32 bits name its user. A
+    slot with two or more edges keeps ``state >= 2 << 32`` whatever its index
+    sum, so the singleton test is exact for any m < 2**31. Each wave resolves
+    the users of the current singleton slots, removes their edges with one
+    ``np.subtract.at`` and takes the removed slots that became singletons as
+    the next frontier, so a wave costs O(edges it removes) and peeling costs
+    O(edges) in all.
     """
-    edge_counts = recv.reshape(-1).astype(np.int64)
     indptr = np.zeros(B * m + 1, dtype=np.int64)
-    np.cumsum(edge_counts, out=indptr[1:])
+    np.cumsum(recv.reshape(-1), out=indptr[1:])
 
     slot_codes = ef.astype(np.int64) * n + es
-    nslots = B * n
-    C = np.bincount(slot_codes, minlength=nslots).astype(np.int32)
-    SU = np.bincount(slot_codes, weights=eu, minlength=nslots)  # float64, exact
+    state = np.zeros(B * n, dtype=np.int64)
+    np.add.at(state, slot_codes, eu + _EDGE)
 
     resolved = np.zeros(B * m, dtype=bool)
-    frontier = np.flatnonzero(C == 1)
+    owner = np.empty(B * m, dtype=np.int32)  # dedupe scratch, see below
+    frontier = np.flatnonzero(state >> 32 == 1)
     while frontier.size:
-        frontier = frontier[C[frontier] == 1]
-        if not frontier.size:
-            break
-        gid = (frontier // n) * m + SU[frontier].astype(np.int64)
-        gid = _sorted_unique(gid, B * m)
-        gid = gid[~resolved[gid]]
-        if not gid.size:
-            break
+        # a singleton's user still has all its edges, so it is unresolved;
+        # the frontier may repeat a slot or name one user through two slots,
+        # and exactly one position per distinct user wins the owner write
+        gid = frontier // n * m + (state[frontier] & _LOW)
+        rank = np.arange(gid.size, dtype=np.int32)
+        owner[gid] = rank
+        gid = gid[owner[gid] == rank]
         resolved[gid] = True
 
         starts = indptr[gid]
         counts = indptr[gid + 1] - starts
-        total = int(counts.sum())
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        idx = np.repeat(starts, counts) + offsets
+        ends = np.cumsum(counts)
+        idx = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
         removed = slot_codes[idx]
-        if total > nslots // 16:
-            C -= np.bincount(removed, minlength=nslots).astype(np.int32)
-            SU -= np.bincount(removed, weights=eu[idx], minlength=nslots)
-        else:
-            np.subtract.at(C, removed, 1)
-            np.subtract.at(SU, removed, eu[idx])
-
-        touched = _sorted_unique(removed, nslots)
-        frontier = touched[C[touched] == 1]
+        np.subtract.at(state, removed, eu[idx] + _EDGE)
+        frontier = removed[state[removed] >> 32 == 1]
     return resolved.reshape(B, m), indptr
 
 

@@ -260,6 +260,11 @@ class TestErrorPaths:
         assert main(argv + ["--seed", "-1"]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_plan_with_crawling_redraws_exits_1(self, capsys):
+        argv = ["simulate", "--dist", "8:1.0", "--n", "8", "--g", "0.5", "--frames", "10"]
+        assert main(argv) == 1
+        assert "redraws" in capsys.readouterr().err
+
     def test_unwritable_output_exits_2(self, capsys):
         code = main(
             [

@@ -78,7 +78,7 @@ def _check_chunk_against_reference(spec, cfg):
         assert resolved[row].tolist() == list(outcome.resolved)
         expected_hist.update(classify(c) for c in components(outcome.residual))
     assert +hist == expected_hist
-    return hist
+    return hist, resolved
 
 
 @given(chunk_cases())
@@ -94,8 +94,40 @@ def test_large_residual_chunks_match_reference(ref_dist, g):
     m = round_half_up(g * n)
     spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 31, 1, 5000, 5000 + frames, "induced")
     cfg = FrameConfig(m=m, n=n, dist=ref_dist, channel=ChannelModel(0.0))
-    hist = _check_chunk_against_reference(spec, cfg)
+    hist, _ = _check_chunk_against_reference(spec, cfg)
     assert hist["Other"] > frames // 2
+
+
+def test_waterfall_chunk_matches_reference(ref_dist):
+    """Just below the threshold this chunk peels in about thirty waves, and a
+    frame may be fully resolved or keep a large residual."""
+    n, frames = 200, 300
+    m = round_half_up(0.8 * n)
+    spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 47, 0, 7000, 7000 + frames, "induced")
+    cfg = FrameConfig(m=m, n=n, dist=ref_dist, channel=ChannelModel(0.0))
+    _, resolved = _check_chunk_against_reference(spec, cfg)
+    assert 0 < resolved.sum() < resolved.size
+    assert resolved.all(axis=1).any() and not resolved.all(axis=1).all()
+
+
+def test_packed_slot_state_exact_past_32_bit_index_sums():
+    """One frame whose crowded slots 0 and 1 hold users 1..m-2, with index
+    sums past 2**32. Slot 3 resolves user 0, which leaves user m-1 alone in
+    slot 2; its index must come back exactly from the low bits, and the
+    crowded slots must never look like singletons."""
+    n, m = 4, 100_001
+    slots = [(2, 3)] + [(0, 1)] * (m - 2) + [(2,)]
+    recv = np.array([[len(s) for s in slots]], dtype=np.int16)
+    eu = np.repeat(np.arange(m, dtype=np.int32), recv[0])
+    es = np.array([s for row in slots for s in row], dtype=np.int32)
+    ef = np.zeros(es.size, dtype=np.int32)
+    assert sum(range(1, m - 1)) > 2**32
+
+    resolved, indptr = _peel_chunk(1, m, n, ef, eu, es, recv)
+    expected = np.zeros((1, m), dtype=bool)
+    expected[0, [0, m - 1]] = True
+    assert np.array_equal(resolved, expected)
+    assert indptr[-1] == es.size
 
 
 def _path(length):

@@ -78,8 +78,19 @@ class TestPlanValidation:
             SweepPlan(dist=ref_dist, n=200, epsilon=0.0, loads=(0.5,), frames=10, seed=seed)
 
     def test_load_rounding_to_zero_users(self, ref_dist):
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="zero users"):
             SweepPlan(dist=ref_dist, n=9, epsilon=0.0, loads=(0.05,), frames=10)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_rows_needing_many_redraws_rejected(self, n):
+        # 415 and 118 expected redraws per degree-8 row; the sampler crawls
+        with pytest.raises(PlanError, match="redraws"):
+            SweepPlan(dist=parse_distribution("8:1.0"), n=n, epsilon=0.0, loads=(0.5,), frames=10)
+
+    def test_rows_below_redraw_limit_admitted(self):
+        # 54 expected redraws per degree-8 row at n = 10
+        plan = SweepPlan(dist=parse_distribution("8:1.0"), n=10, epsilon=0.0, loads=(0.5,), frames=10)
+        assert run_sweep(plan)[0].frames == 10
 
     def test_round_half_up(self):
         assert round_half_up(22.5) == 23
