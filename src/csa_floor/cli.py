@@ -7,7 +7,6 @@ distributions, invalid plans), 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -15,16 +14,10 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .decoder import DegreeKeying
-from .density_evolution import DegreeOneUnsupported, threshold
-from .distributions import (
-    ChannelModel,
-    DistributionError,
-    format_distribution,
-    induce,
-    parse_distribution,
-)
+from .density_evolution import threshold
+from .distributions import ChannelModel, format_distribution, induce, parse_distribution
 from .frame_model import round_half_up
-from .harness import CSV_HEADER, PlanError, SweepPlan, csv_line, csv_lines, run_sweep
+from .harness import CSV_HEADER, SweepPlan, csv_line, csv_lines, dump_json, run_sweep
 from .optimizer import ObjectiveSpec, optimize
 from .predictor import analytic_report
 from .stopping_sets import CATALOG_BY_ID, beta
@@ -125,14 +118,8 @@ def _cmd_induce(args) -> int:
     induced = induce(dist, ChannelModel(args.eps))
     print(format_distribution(induced))
     if args.out_json:
-        with open(args.out_json, "w") as fh:
-            json.dump(
-                {"epsilon": args.eps, "original": list(dist.probs), "induced": list(induced.probs)},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        payload = {"epsilon": args.eps, "original": list(dist.probs), "induced": list(induced.probs)}
+        dump_json(payload, args.out_json)
     return 0
 
 
@@ -148,14 +135,7 @@ def _cmd_predict(args) -> int:
     for g, m, rep in reports:
         print(f"g={g:g} m={m} n={args.n} eps={args.eps:g} avg_plr={rep.average:.6g}")
     if args.out_json:
-        with open(args.out_json, "w") as fh:
-            json.dump(
-                [dict(g=g, **rep.to_dict()) for g, _, rep in reports],
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        dump_json([dict(g=g, **rep.to_dict()) for g, _, rep in reports], args.out_json)
     if args.out_csv:
         lines = [CSV_HEADER]
         for g, m, rep in reports:
@@ -201,11 +181,7 @@ def _cmd_classify(args) -> int:
         }
         for row in rows
     ]
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out_json:
-        with open(args.out_json, "w") as fh:
-            fh.write(text + "\n")
+    print(dump_json(payload, args.out_json), end="")
     return 0
 
 
@@ -232,22 +208,13 @@ def _cmd_optimize(args) -> int:
     print(format_distribution(result.best))
     print(f"score={result.best_score:.6g}", file=sys.stderr)
     if args.out_json:
-        with open(args.out_json, "w") as fh:
-            json.dump(
-                {
-                    "best": list(result.best.probs),
-                    "best_text": format_distribution(result.best),
-                    "best_score": result.best_score,
-                    "trace": [
-                        {"probs": list(probs), "score": score}
-                        for probs, score in result.trace
-                    ],
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        payload = {
+            "best": list(result.best.probs),
+            "best_text": format_distribution(result.best),
+            "best_score": result.best_score,
+            "trace": [{"probs": list(probs), "score": score} for probs, score in result.trace],
+        }
+        dump_json(payload, args.out_json)
     return 0
 
 
@@ -279,7 +246,7 @@ def _cmd_oracle(args) -> int:
             "unresolved": {str(k): str(v) for k, v in tally.unresolved.items()},
             "labels": {k: str(v) for k, v in tally.labels.items()},
         }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(dump_json(payload), end="")
     return 0
 
 
@@ -299,7 +266,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, DistributionError, PlanError, DegreeOneUnsupported, ValueError) as exc:
+    except ValueError as exc:  # the package's configuration errors among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit:

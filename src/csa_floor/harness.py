@@ -9,11 +9,15 @@ Frames are processed in fixed-size chunks. Sampling repositions the Philox
 counter once per frame and pulls that frame's uniforms in one call; degrees,
 slots, duplicate-slot redraws and erasures are then computed across a block
 of frames at once, reading each frame's words in the order
-``frame_model.draw_frame`` does. Decoding is vectorized across the chunk:
-one packed int64 per slot holds its occupancy in the high bits and the sum
-of its user indices in the low 32, which name the user of any singleton
-slot. Each peeling wave resolves the users of the current singleton slots
-and updates the packed counters of their edges in one scatter, in time
+``frame_model.draw_frame`` does, and the rare frame whose redraws outrun its
+buffer row is drawn by ``draw_frame`` itself. A chunk's graph is one entry
+per edge: the global slot code ``frame * n + slot`` and the global user id
+``frame * m + user``, built once by the sampler and used as they are by the
+peel and the labeller. Decoding is vectorized across the chunk: one packed
+int64 per slot holds its occupancy in the high bits and the sum of its
+users' global ids in the low 32, which name the user of any singleton slot.
+Each peeling wave resolves the users of the current singleton slots and
+updates the packed counters of their edges in one scatter, in time
 proportional to the edges it removes. Residual components are labelled by
 min-label propagation over the residual user/slot edges, in numpy, and the
 small ones are classified against the stopping-set catalog.
@@ -38,7 +42,7 @@ from numpy.random import Generator, Philox
 
 from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution
-from .frame_model import round_half_up
+from .frame_model import draw_frame, round_half_up
 from .predictor import analytic_report
 from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_sets
 
@@ -114,11 +118,19 @@ class SweepPlan:
         object.__setattr__(self, "loads", loads)
         if not loads:
             raise PlanError("need at least one load point")
+        chunk = min(self.frames, CHUNK_FRAMES)
         for g in loads:
             if not 0.0 < g <= 2.0:
                 raise PlanError(f"loads must be in (0, 2], got {g}")
-            if round_half_up(g * self.n) < 1:
+            m = round_half_up(g * self.n)
+            if m < 1:
                 raise PlanError(f"load {g} at n = {self.n} rounds to zero users")
+            # the peel packs the global user ids of a chunk into 31 bits
+            if chunk * m >= 2**31:
+                raise PlanError(
+                    f"load {g} at n = {self.n} puts {m} users in a frame, too "
+                    f"many for chunks of {chunk} frames"
+                )
         l = self.dist.max_support_degree()
         if self.n < l:
             raise PlanError(f"n = {self.n} cannot host degree-{l} users")
@@ -211,17 +223,21 @@ class _FrameStreams:
         self._gen = Generator(self._bg)
         self._state = self._bg.state
 
-    def fill(self, frame: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the first ``out.size`` uniforms of frame ``frame``,
-        the same words ``frame_generator(seed, point_index, frame)`` yields."""
+    def at(self, frame: int) -> Generator:
+        """The generator at the start of frame ``frame``'s stream, where
+        ``frame_generator(seed, point_index, frame)`` starts; valid until the
+        next call."""
         state = self._state
         state["state"]["counter"] = np.array([0, 0, frame, 0], dtype=np.uint64)
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         state["uinteger"] = 0
         self._bg.state = state
-        self._gen.random(out=out)
-        return out
+        return self._gen
+
+    def fill(self, frame: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the first ``out.size`` uniforms of frame ``frame``."""
+        return self.at(frame).random(out=out)
 
 
 def _row_redraws(l: int, n: int) -> float:
@@ -234,7 +250,8 @@ def _row_redraws(l: int, n: int) -> float:
 def _spare_words(probs, n: int, m: int) -> int:
     """Uniforms each frame's buffer row carries past its first draw, for
     duplicate-slot redraws: q per expected redrawn row plus a margin, at most
-    the first draw's own length. Frames that need more draw a longer row."""
+    the first draw's own length. A frame that needs more takes the reference
+    draw instead."""
     q = len(probs) - 1
     rows = sum(m * p * _row_redraws(l, n) for l, p in enumerate(probs) if p > 0.0)
     return min(q * math.ceil(rows + 4.0 * math.sqrt(rows) + 1.0), m * (1 + q))
@@ -257,6 +274,8 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
     erasures) then ``spare`` more; everything after the fill runs across
     the block. In each redraw round the k-th repeating row of frame f takes
     the q words from ``pos[f] + k*q``, the order ``draw_frame`` reads them.
+    A frame whose redraws outrun its row leaves the rounds and takes its
+    slots from ``draw_frame`` itself.
     """
     q = cdf.size - 1
     first = m * (1 + q) if eps == 0.0 else m * (1 + 2 * q)
@@ -271,25 +290,17 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
     slots = (x[:, m : m + m * q].reshape(B, m, q) * n).astype(np.int32)
 
     pos = np.full(B, first, dtype=np.int64)  # next unread word of each frame
-    longer: dict[int, np.ndarray] = {}  # rows of frames that outran the spare
     fr, us = np.nonzero(_has_repeat(slots, valid, n))  # (frame, user) order
     while fr.size:
         counts = np.bincount(fr, minlength=B)
         rank = np.arange(fr.size) - (np.cumsum(counts) - counts)[fr]
-        cols = (pos[fr] + rank * q)[:, None] + np.arange(q)
+        cols = pos[fr] + rank * q
         pos += counts * q
-        words = np.empty((fr.size, q))
-        inside = pos[fr] <= width
-        words[inside] = x[fr[inside, None], cols[inside]]
-        for f in np.unique(fr[~inside]).tolist():
-            row = longer.get(f)
-            if row is None or row.size < pos[f]:
-                # double the length so a frame redrawing for many rounds
-                # regenerates O(its total words), not O(words) per round
-                row = longer[f] = streams.fill(frame_lo + f, np.empty(2 * int(pos[f])))
-            sel = fr == f
-            words[sel] = row[cols[sel]]
-        slots[fr, us] = (words * n).astype(np.int32)
+        over = pos[fr] > width
+        for f in np.unique(fr[over]).tolist():
+            slots[f] = draw_frame(streams.at(frame_lo + f), cdf, n, m, eps)[1]
+        fr, us, cols = fr[~over], us[~over], cols[~over]
+        slots[fr, us] = (x[fr[:, None], cols[:, None] + np.arange(q)] * n).astype(np.int32)
         again = _has_repeat(slots[fr, us], valid[fr, us], n)
         fr, us = fr[again], us[again]
 
@@ -303,9 +314,11 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
 def _sample_chunk(spec: _ChunkSpec):
     """Sample frames frame_lo..frame_hi-1, one Philox stream per frame.
 
-    Returns (orig, recv, e_frames, e_users, e_slots): drawn and surviving
-    degree matrices of shape (B, m) plus flat edge arrays ordered by
-    (frame, user, column). Frames go through ``_sample_block`` in blocks of
+    Returns (orig, recv, codes, users): drawn and surviving degree matrices
+    of shape (B, m), then one entry per edge in (frame, user, column) order:
+    ``codes`` (int64) the global slot code ``frame * n + slot`` and ``users``
+    (int32) the global user id ``frame * m + user``, frames counted from the
+    chunk's first. Frames go through ``_sample_block`` in blocks of
     ``SAMPLE_BLOCK_FRAMES``, which bounds the uniform buffer.
     """
     n, m, eps = spec.n, spec.m, spec.epsilon
@@ -317,7 +330,7 @@ def _sample_chunk(spec: _ChunkSpec):
 
     orig = np.empty((B, m), dtype=np.int16)
     recv = np.empty((B, m), dtype=np.int16)
-    e_frames, e_users, e_slots = [], [], []
+    codes, users = [], []
     for lo in range(0, B, SAMPLE_BLOCK_FRAMES):
         hi = min(lo + SAMPLE_BLOCK_FRAMES, B)
         deg, slots, survive = _sample_block(
@@ -326,20 +339,22 @@ def _sample_chunk(spec: _ChunkSpec):
         orig[lo:hi] = deg
         recv[lo:hi] = survive.sum(axis=2, dtype=np.int16)
         edges = np.flatnonzero(survive)  # (frame, user, column) order
-        e_frames.append((edges // (m * q) + lo).astype(np.int32))
-        e_users.append((edges // q % m).astype(np.int32))
-        e_slots.append(slots.reshape(-1)[edges])
-    return orig, recv, np.concatenate(e_frames), np.concatenate(e_users), np.concatenate(e_slots)
+        gid = edges // q + lo * m
+        codes.append(gid // m * n + slots.reshape(-1)[edges])
+        users.append(gid.astype(np.int32))
+    return orig, recv, np.concatenate(codes), np.concatenate(users)
 
 
-def _peel_chunk(B, m, n, ef, eu, es, recv):
+def _peel_chunk(B, m, n, codes, users, recv):
     """Vectorized peeling of a whole chunk; returns (resolved (B, m), indptr).
 
-    ``state`` packs each slot's counters into one int64: every edge in the
-    slot adds ``(1 << 32) + user index``, so ``state >> 32`` is the slot's
-    occupancy and, in a singleton slot, the low 32 bits name its user. A
-    slot with two or more edges keeps ``state >= 2 << 32`` whatever its index
-    sum, so the singleton test is exact for any m < 2**31. Each wave resolves
+    ``codes`` and ``users`` are ``_sample_chunk``'s global slot codes and
+    user ids per edge. ``state`` packs each slot's counters into one int64:
+    every edge in the slot adds ``(1 << 32) + user id``, so ``state >> 32``
+    is the slot's occupancy and, in a singleton slot, the low 32 bits are
+    its user's global id. A slot with two or more edges keeps
+    ``state >= 2 << 32`` whatever its id sum, so the singleton test is exact
+    for any B * m < 2**31, which ``SweepPlan`` enforces. Each wave resolves
     the users of the current singleton slots, removes their edges with one
     ``np.subtract.at`` and takes the removed slots that became singletons as
     the next frontier, so a wave costs O(edges it removes) and peeling costs
@@ -348,9 +363,8 @@ def _peel_chunk(B, m, n, ef, eu, es, recv):
     indptr = np.zeros(B * m + 1, dtype=np.int64)
     np.cumsum(recv.reshape(-1), out=indptr[1:])
 
-    slot_codes = ef.astype(np.int64) * n + es
     state = np.zeros(B * n, dtype=np.int64)
-    np.add.at(state, slot_codes, eu + _EDGE)
+    np.add.at(state, codes, users + _EDGE)
 
     resolved = np.zeros(B * m, dtype=bool)
     owner = np.empty(B * m, dtype=np.int32)  # dedupe scratch, see below
@@ -359,7 +373,7 @@ def _peel_chunk(B, m, n, ef, eu, es, recv):
         # a singleton's user still has all its edges, so it is unresolved;
         # the frontier may repeat a slot or name one user through two slots,
         # and exactly one position per distinct user wins the owner write
-        gid = frontier // n * m + (state[frontier] & _LOW)
+        gid = state[frontier] & _LOW
         rank = np.arange(gid.size, dtype=np.int32)
         owner[gid] = rank
         gid = gid[owner[gid] == rank]
@@ -369,8 +383,8 @@ def _peel_chunk(B, m, n, ef, eu, es, recv):
         counts = indptr[gid + 1] - starts
         ends = np.cumsum(counts)
         idx = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
-        removed = slot_codes[idx]
-        np.subtract.at(state, removed, eu[idx] + _EDGE)
+        removed = codes[idx]
+        np.subtract.at(state, removed, users[idx] + _EDGE)
         frontier = removed[state[removed] >> 32 == 1]
     return resolved.reshape(B, m), indptr
 
@@ -401,10 +415,16 @@ def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, i
         labels = new
 
 
-def _classify_residuals(B, m, n, ef, eu, es, resolved_flat, recv, indptr) -> Counter:
-    """Histogram of residual component classes for a decoded chunk."""
+def _classify_residuals(B, m, n, codes, recv, indptr, resolved_flat) -> Counter:
+    """Histogram of residual component classes for a decoded chunk.
+
+    Components are labelled over the residual edges' global slot codes. A
+    component lies in one frame, so its users' slot sets taken from
+    ``codes`` are its slot sets shifted by ``frame * n``, which
+    ``classify_slot_sets`` does not see.
+    """
     hist: Counter = Counter()
-    recv_flat = recv.reshape(-1)
+    recv_flat = recv.reshape(B * m)
     degree0 = int(((recv_flat == 0) & ~resolved_flat).sum())
     if degree0:
         hist[DEGREE0_LABEL] += degree0
@@ -415,10 +435,8 @@ def _classify_residuals(B, m, n, ef, eu, es, resolved_flat, recv, indptr) -> Cou
     users = np.flatnonzero(~resolved_flat & (recv_flat > 0))
     if not users.size:
         return hist
-    counts = recv_flat[users]
-    residual = np.repeat(~resolved_flat, recv_flat)
-    rcode = np.repeat(users // m * n, counts) + es[residual]
-    u_inv = np.repeat(np.arange(users.size), counts)
+    rcode = codes[np.repeat(~resolved_flat, recv_flat)]
+    u_inv = np.repeat(np.arange(users.size), recv_flat[users])
     labels, _ = _component_labels(rcode, u_inv, users.size, B * n)
     sizes = np.bincount(labels, minlength=users.size)
 
@@ -430,7 +448,7 @@ def _classify_residuals(B, m, n, ef, eu, es, resolved_flat, recv, indptr) -> Cou
         bounds = np.flatnonzero(np.diff(labels[small])) + 1
         for ranks in np.split(small, bounds):
             slot_sets = [
-                frozenset(es[indptr[g] : indptr[g + 1]].tolist()) for g in users[ranks]
+                frozenset(codes[indptr[g] : indptr[g + 1]].tolist()) for g in users[ranks]
             ]
             hist[classify_slot_sets(slot_sets)] += 1
     return hist
@@ -440,17 +458,15 @@ def _run_chunk(spec: _ChunkSpec):
     """Worker entry point: returns (point_index, totals, unresolved, histogram)."""
     q = len(spec.probs) - 1
     B = spec.frame_hi - spec.frame_lo
-    orig, recv, ef, eu, es = _sample_chunk(spec)
-    resolved, indptr = _peel_chunk(B, spec.m, spec.n, ef, eu, es, recv)
+    orig, recv, codes, users = _sample_chunk(spec)
+    resolved, indptr = _peel_chunk(B, spec.m, spec.n, codes, users, recv)
     resolved_flat = resolved.reshape(-1)
 
     keyed = recv if spec.keying == DegreeKeying.INDUCED.value else orig
-    keyed_flat = keyed.reshape(-1).astype(np.int64)
+    keyed_flat = keyed.reshape(-1)
     totals = np.bincount(keyed_flat, minlength=q + 1)
     unresolved = np.bincount(keyed_flat[~resolved_flat], minlength=q + 1)
-    hist = _classify_residuals(
-        B, spec.m, spec.n, ef, eu, es, resolved_flat, recv, indptr
-    )
+    hist = _classify_residuals(B, spec.m, spec.n, codes, recv, indptr, resolved_flat)
     return spec.point_index, totals, unresolved, hist
 
 
@@ -586,7 +602,15 @@ def write_csv(rows: list[SweepRow], path: str):
         fh.write("\n".join(csv_lines(rows)) + "\n")
 
 
+def dump_json(payload, path: str | None = None) -> str:
+    """``payload`` as indented, key-sorted JSON text ending in a newline,
+    also written to ``path`` when one is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
+
 def write_json(rows: list[SweepRow], path: str):
-    with open(path, "w") as fh:
-        json.dump([row.to_dict() for row in rows], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json([row.to_dict() for row in rows], path)

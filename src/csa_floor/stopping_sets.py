@@ -5,8 +5,8 @@ set when every slot it occupies holds at least two of its copies; the peeling
 decoder can never resolve any member. The eight catalog entries below are the
 small structures that dominate the error floor for distributions that are
 heavy on degrees 2 and 3. Each entry carries its abstract topology (users as
-sets of slot labels), its profile (user counts by degree), and the closed-form
-placement probability ``beta(n)``.
+sets of slot labels) and the closed-form placement probability ``beta(n)``;
+its profile (user counts by degree) is read off the topology.
 
 Classification matches a residual component against the catalog by degree
 profile first, then by exhaustive slot-relabeling (catalog structures use at
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -34,12 +35,17 @@ class TooFewUsers(ValueError):
 
 @dataclass(frozen=True)
 class StoppingSetClass:
-    """One catalog entry: id, degree profile, abstract topology, beta formula."""
+    """One catalog entry: id, abstract topology, beta formula."""
 
     id: str
-    profile: tuple[int, ...]
     topology: tuple[frozenset[str], ...]
     beta_fn: Callable[[Fraction], Fraction]
+
+    @cached_property
+    def profile(self) -> tuple[int, ...]:
+        """User counts by degree, read off the topology."""
+        degrees = [len(u) for u in self.topology]
+        return tuple(degrees.count(l) for l in range(max(degrees) + 1))
 
     @property
     def size(self) -> int:
@@ -60,37 +66,30 @@ def _users(*slot_groups: str) -> tuple[frozenset[str], ...]:
 
 CATALOG: tuple[StoppingSetClass, ...] = (
     # Two degree-1 users colliding in one slot.
-    StoppingSetClass("S1", (0, 2), _users("a", "a"), lambda n: 1 / n),
+    StoppingSetClass("S1", _users("a", "a"), lambda n: 1 / n),
     # Degree-2 user covered by a degree-1 user in each of its slots.
-    StoppingSetClass("S2", (0, 2, 1), _users("ab", "a", "b"), lambda n: 2 / n**2),
+    StoppingSetClass("S2", _users("ab", "a", "b"), lambda n: 2 / n**2),
     # Degree-3 user covered by three degree-1 users.
-    StoppingSetClass(
-        "S3", (0, 3, 0, 1), _users("abc", "a", "b", "c"), lambda n: 6 / n**3
-    ),
+    StoppingSetClass("S3", _users("abc", "a", "b", "c"), lambda n: 6 / n**3),
     # Degree-3 user, degree-2 user on two of its slots, degree-1 on the third.
-    StoppingSetClass(
-        "S4", (0, 1, 1, 1), _users("abc", "ab", "c"), lambda n: 6 / ((n - 1) * n**2)
-    ),
+    StoppingSetClass("S4", _users("abc", "ab", "c"), lambda n: 6 / ((n - 1) * n**2)),
     # Two degree-2 users on the same slot pair (shortest cycle).
-    StoppingSetClass("S5", (0, 0, 2), _users("ab", "ab"), lambda n: 2 / ((n - 1) * n)),
+    StoppingSetClass("S5", _users("ab", "ab"), lambda n: 2 / ((n - 1) * n)),
     # Three degree-2 users forming a triangle.
     StoppingSetClass(
         "S6",
-        (0, 0, 3),
         _users("ab", "bc", "ac"),
         lambda n: 4 * (n - 3) / ((n - 2) * n**3),
     ),
     # Two degree-3 users sharing two slots, closed by a degree-2 user.
     StoppingSetClass(
         "S7",
-        (0, 0, 1, 2),
         _users("acd", "bcd", "ab"),
         lambda n: 36 * (n - 3) / ((n - 2) * (n - 1) * n**3),
     ),
     # Two degree-3 users on the same slot triple.
     StoppingSetClass(
         "S8",
-        (0, 0, 0, 2),
         _users("abc", "abc"),
         lambda n: 6 / ((n - 2) * (n - 1) * n),
     ),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -211,6 +212,35 @@ class TestOptimize:
         assert payload["best_score"] == max(t["score"] for t in payload["trace"])
 
 
+_REF = ["--dist", "2:0.25,3:0.6,8:0.15"]
+# SHA-256 of the --out-json file each command writes
+_JSON_OUTPUTS = [
+    (
+        ["induce", *_REF, "--eps", "0.03"],
+        "a8dd61690f30543c23ab3934ecb49e46ab01d2ee8473d504b736c091f2d40c08",
+    ),
+    (
+        ["predict", *_REF, "--n", "50", "--eps", "0.03", "--g", "0.3,0.6"],
+        "f8d69818b9328b19ca24018049c4a63316104ff170ab7418af9ee2b32d30e52c",
+    ),
+    (
+        ["classify", *_REF, "--n", "20", "--eps", "0.05", "--g", "0.6", "--frames", "300", "--seed", "3"],
+        "637319d8e9a8fe68a641a26d9f42888754cf8858536eeef792f5c2c1e83b3754",
+    ),
+    (
+        ["optimize", "--support", "3,8", "--budget", "5", "--seed", "2"],
+        "f2c3442b2b8824343f1abf21c94bd39ff7babeb0751c432f2668d2dce4e121b1",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _JSON_OUTPUTS, ids=[a[0] for a, _ in _JSON_OUTPUTS])
+def test_json_bytes_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "out.json"
+    assert main(argv + ["--out-json", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestOracle:
     def test_class_mode(self, capsys):
         assert main(["oracle", "--sclass", "S5", "--n", "6"]) == 0
@@ -264,6 +294,12 @@ class TestErrorPaths:
         argv = ["simulate", "--dist", "8:1.0", "--n", "8", "--g", "0.5", "--frames", "10"]
         assert main(argv) == 1
         assert "redraws" in capsys.readouterr().err
+
+    def test_frame_too_large_for_packed_user_ids_exits_1(self, capsys):
+        # refused before any frame is drawn, at the default 100000 frames
+        argv = ["simulate", "--dist", "3:1.0", "--n", "262144", "--g", "2"]
+        assert main(argv) == 1
+        assert "users in a frame" in capsys.readouterr().err
 
     def test_unwritable_output_exits_2(self, capsys):
         code = main(

@@ -58,27 +58,31 @@ def chunk_cases(draw):
 
 def _check_chunk_against_reference(spec, cfg):
     B, m, n = spec.frame_hi - spec.frame_lo, spec.m, spec.n
-    orig, recv, ef, eu, es = _sample_chunk(spec)
-    resolved, indptr = _peel_chunk(B, m, n, ef, eu, es, recv)
-    hist = _classify_residuals(
-        B, m, n, ef, eu, es, resolved.reshape(-1), recv, indptr
-    )
+    orig, recv, codes, users = _sample_chunk(spec)
+    assert codes.dtype == np.int64 and users.dtype == np.int32
+    assert np.array_equal(users, np.repeat(np.arange(B * m), recv.ravel()))
+    resolved, indptr = _peel_chunk(B, m, n, codes, users, recv)
+    hist = _classify_residuals(B, m, n, codes, recv, indptr, resolved.reshape(-1))
 
     expected_hist = Counter()
     for row in range(B):
         rng = frame_generator(spec.seed, spec.point_index, spec.frame_lo + row)
         graph = sample_frame(cfg, rng)
-        slot_sets = [
-            frozenset(es[indptr[row * m + u] : indptr[row * m + u + 1]].tolist())
-            for u in range(m)
-        ]
-        assert slot_sets == [u.slots for u in graph.users]
+        assert _slot_sets(codes, indptr, n, m, row) == [u.slots for u in graph.users]
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
         outcome = peel(graph)
         assert resolved[row].tolist() == list(outcome.resolved)
         expected_hist.update(classify(c) for c in components(outcome.residual))
     assert +hist == expected_hist
     return hist, resolved
+
+
+def _slot_sets(codes, indptr, n, m, row):
+    """Each user's slots in frame ``row`` of a chunk, from the global codes."""
+    return [
+        frozenset((codes[indptr[g] : indptr[g + 1]] - row * n).tolist())
+        for g in range(row * m, (row + 1) * m)
+    ]
 
 
 @given(chunk_cases())
@@ -118,16 +122,15 @@ def test_packed_slot_state_exact_past_32_bit_index_sums():
     n, m = 4, 100_001
     slots = [(2, 3)] + [(0, 1)] * (m - 2) + [(2,)]
     recv = np.array([[len(s) for s in slots]], dtype=np.int16)
-    eu = np.repeat(np.arange(m, dtype=np.int32), recv[0])
-    es = np.array([s for row in slots for s in row], dtype=np.int32)
-    ef = np.zeros(es.size, dtype=np.int32)
+    users = np.repeat(np.arange(m, dtype=np.int32), recv[0])
+    codes = np.array([s for row in slots for s in row], dtype=np.int64)
     assert sum(range(1, m - 1)) > 2**32
 
-    resolved, indptr = _peel_chunk(1, m, n, ef, eu, es, recv)
+    resolved, indptr = _peel_chunk(1, m, n, codes, users, recv)
     expected = np.zeros((1, m), dtype=bool)
     expected[0, [0, m - 1]] = True
     assert np.array_equal(resolved, expected)
-    assert indptr[-1] == es.size
+    assert indptr[-1] == codes.size
 
 
 def _path(length):
@@ -211,39 +214,34 @@ def test_long_chain_with_rising_ranks_settles_in_three_rounds(shape):
 
 def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
     """Every user degree 3 in 4 slots: most rows repeat a slot and many frames
-    redraw past their buffer row's spare. With eps > 0 and a chunk of three
-    sampler blocks, frames on both sides of each block boundary and every
-    frame that outran the spare must be the reference draw."""
+    redraw past their buffer row's spare, which hands them to ``draw_frame``.
+    With eps > 0 and a chunk of three sampler blocks, every frame, on either
+    side of each block boundary and whichever path drew it, must be the
+    reference draw."""
     dist = DegreeDistribution((0.0, 0.0, 0.0, 1.0))
     m, n, eps = 5, 4, 0.2
     frame_lo, B = 1000, 2 * SAMPLE_BLOCK_FRAMES + 7
     spec = _ChunkSpec(dist.probs, n, m, eps, 2**64 - 3, 2, frame_lo, frame_lo + B, "original")
 
-    fills = []  # (frame, words) of every row the sampler draws
-    fill = harness._FrameStreams.fill
+    overflowed = []  # frames the sampler takes from the reference draw
+    draw_frame = harness.draw_frame
 
-    def recording_fill(self, frame, out):
-        fills.append((frame, out.size))
-        return fill(self, frame, out)
+    def recording_draw_frame(rng, *args):
+        overflowed.append(int(rng.bit_generator.state["state"]["counter"][2]))
+        return draw_frame(rng, *args)
 
-    monkeypatch.setattr(harness._FrameStreams, "fill", recording_fill)
-    orig, recv, ef, eu, es = _sample_chunk(spec)
-
-    row_words = min(words for _, words in fills)
-    overflowed = {frame - frame_lo for frame, words in fills if words > row_words}
+    monkeypatch.setattr(harness, "draw_frame", recording_draw_frame)
+    orig, recv, codes, users = _sample_chunk(spec)
     assert overflowed, "no frame outran the spare"
-    boundaries = {0, B - 1}
-    for k in range(1, B // SAMPLE_BLOCK_FRAMES + 1):
-        boundaries |= {k * SAMPLE_BLOCK_FRAMES - 1, k * SAMPLE_BLOCK_FRAMES}
+    assert len(set(overflowed)) == len(overflowed)
+    assert all(frame_lo <= f < frame_lo + B for f in overflowed)
+    assert np.array_equal(users, np.repeat(np.arange(B * m), recv.ravel()))
 
     indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
     cfg = FrameConfig(m=m, n=n, dist=dist, channel=ChannelModel(eps))
-    for row in sorted(boundaries | overflowed):
+    for row in range(B):
         graph = sample_frame(cfg, frame_generator(spec.seed, spec.point_index, frame_lo + row))
-        users = range(row * m, (row + 1) * m)
-        assert [frozenset(es[indptr[g] : indptr[g + 1]].tolist()) for g in users] == [
-            u.slots for u in graph.users
-        ]
-        assert (ef[indptr[row * m] : indptr[(row + 1) * m]] == row).all()
+        assert _slot_sets(codes, indptr, n, m, row) == [u.slots for u in graph.users]
+        assert (codes[indptr[row * m] : indptr[(row + 1) * m]] // n == row).all()
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
         assert recv[row].tolist() == [u.received_degree for u in graph.users]

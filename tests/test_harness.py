@@ -92,6 +92,15 @@ class TestPlanValidation:
         plan = SweepPlan(dist=parse_distribution("8:1.0"), n=10, epsilon=0.0, loads=(0.5,), frames=10)
         assert run_sweep(plan)[0].frames == 10
 
+    def test_frame_too_large_for_packed_user_ids_rejected(self):
+        # 4096 frames of 524288 users: 2**31 global user ids in one chunk
+        with pytest.raises(PlanError, match="users in a frame"):
+            SweepPlan(dist=parse_distribution("3:1.0"), n=262144, epsilon=0.0, loads=(2.0,), frames=4096)
+
+    def test_largest_frame_for_packed_user_ids_admitted(self):
+        plan = SweepPlan(dist=parse_distribution("3:1.0"), n=262143, epsilon=0.0, loads=(2.0,), frames=4096)
+        assert plan.n == 262143
+
     def test_round_half_up(self):
         assert round_half_up(22.5) == 23
         assert round_half_up(89.9999) == 90
