@@ -10,10 +10,13 @@ counter once per frame and pulls that frame's uniforms in one call; degrees,
 slots, duplicate-slot redraws and erasures are then computed across a block
 of frames at once, reading each frame's words in the order
 ``frame_model.draw_frame`` does, and the rare frame whose redraws outrun its
-buffer row is drawn by ``draw_frame`` itself. A chunk's graph is one entry
-per edge: the global slot code ``frame * n + slot`` and the global user id
-``frame * m + user``, built once by the sampler and used as they are by the
-peel and the labeller. Decoding is vectorized across the chunk: one packed
+buffer row is drawn by ``draw_frame`` itself. The block sampler reaches the
+same frames by other arithmetic: a degree is a sum of compares against the
+distinct CDF values, and a repeated slot is found by comparing the slot
+columns pairwise on a column-major copy. A chunk's graph is one entry per
+edge: the global slot code ``frame * n + slot`` and the global user id
+``frame * m + user``, built once per chunk from the blocks' picked slots and
+used as they are by the peel and the labeller. Decoding is vectorized across the chunk: one packed
 int64 per slot holds its occupancy in the high bits and the sum of its
 users' global ids in the low 32, which name the user of any singleton slot.
 Each peeling wave resolves the users of the current singleton slots and
@@ -222,13 +225,15 @@ class _FrameStreams:
         self._bg = Philox(key=_philox_key(seed, point_index))
         self._gen = Generator(self._bg)
         self._state = self._bg.state
+        self._counter = np.zeros(4, dtype=np.uint64)  # word 2 is the frame
+        self._state["state"]["counter"] = self._counter
 
     def at(self, frame: int) -> Generator:
         """The generator at the start of frame ``frame``'s stream, where
         ``frame_generator(seed, point_index, frame)`` starts; valid until the
         next call."""
         state = self._state
-        state["state"]["counter"] = np.array([0, 0, frame, 0], dtype=np.uint64)
+        self._counter[2] = frame
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         state["uinteger"] = 0
@@ -257,25 +262,46 @@ def _spare_words(probs, n: int, m: int) -> int:
     return min(q * math.ceil(rows + 4.0 * math.sqrt(rows) + 1.0), m * (1 + q))
 
 
-def _has_repeat(slots: np.ndarray, valid: np.ndarray, n: int) -> np.ndarray:
-    """Rows (last axis) whose valid slots are not all distinct."""
-    q = slots.shape[-1]
-    padded = np.where(valid, slots, np.arange(n, n + q, dtype=np.int32))
-    padded.sort(axis=-1)
-    return (padded[..., 1:] == padded[..., :-1]).any(axis=-1)
+def _has_repeat(cols: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Rows whose first ``deg`` slots are not all distinct, given column-major
+    slots: ``cols[j]`` is column j of every row. Column j repeats an earlier
+    column of its row only where ``deg > j``, so columns past a row's degree
+    need no padding."""
+    rep = np.zeros(deg.shape, dtype=bool)
+    for j in range(1, len(cols)):
+        hit = cols[0] == cols[j]
+        for i in range(1, j):
+            hit |= cols[i] == cols[j]
+        rep |= hit & (deg > j)
+    return rep
+
+
+def _degrees(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` capped at q = cdf.size - 1,
+    as int16. That count of CDF entries <= u is summed one distinct CDF value
+    at a time, each compare weighted by how often its value repeats (degrees
+    of probability zero repeat it). The cap guards against cdf[-1] rounding
+    just below 1."""
+    deg = np.zeros(u.shape, dtype=np.int16)
+    values, counts = np.unique(cdf, return_counts=True)
+    for value, count in zip(values.tolist(), counts.tolist()):
+        deg += (u >= value) * np.int16(count)
+    return np.minimum(deg, cdf.size - 1, out=deg)
 
 
 def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps, spare):
-    """Frames frame_lo..frame_lo+B-1 as (degrees (B, m), slots (B, m, q),
-    survive (B, m, q)), each frame exactly ``frame_model.draw_frame`` on its
-    stream.
+    """Frames frame_lo..frame_lo+B-1, each exactly ``frame_model.draw_frame``
+    on its stream, as (degrees (B, m), received degrees (B, m), picked): the
+    int32 slots of the surviving copies in (frame, user, column) order.
 
     One buffer row per frame holds its first-draw uniforms (degrees, slots,
     erasures) then ``spare`` more; everything after the fill runs across
-    the block. In each redraw round the k-th repeating row of frame f takes
-    the q words from ``pos[f] + k*q``, the order ``draw_frame`` reads them.
-    A frame whose redraws outrun its row leaves the rounds and takes its
-    slots from ``draw_frame`` itself.
+    the block. Degrees are sums of CDF compares (``_degrees``) and repeats
+    are found on a column-major (q, B, m) copy of the slots
+    (``_has_repeat``). In each redraw round the k-th repeating row of frame
+    f takes the q words from ``pos[f] + k*q``, the order ``draw_frame``
+    reads them. A frame whose redraws outrun its row leaves the rounds and
+    takes its slots from ``draw_frame`` itself.
     """
     q = cdf.size - 1
     first = m * (1 + q) if eps == 0.0 else m * (1 + 2 * q)
@@ -284,31 +310,35 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
     for row in range(B):
         streams.fill(frame_lo + row, x[row])
 
-    deg = np.searchsorted(cdf, x[:, :m], side="right").astype(np.int16)
-    np.minimum(deg, q, out=deg)  # guard against cdf[-1] rounding just below 1
-    valid = np.arange(q, dtype=np.int16) < deg[..., None]
-    slots = (x[:, m : m + m * q].reshape(B, m, q) * n).astype(np.int32)
+    deg = _degrees(x[:, :m], cdf)
+    slots = np.empty((B, m, q), dtype=np.int32)
+    np.multiply(x[:, m : m + m * q].reshape(B, m, q), n, out=slots, casting="unsafe")
 
     pos = np.full(B, first, dtype=np.int64)  # next unread word of each frame
-    fr, us = np.nonzero(_has_repeat(slots, valid, n))  # (frame, user) order
+    by_col = np.ascontiguousarray(slots.transpose(2, 0, 1))
+    fr, us = np.nonzero(_has_repeat(by_col, deg))  # (frame, user) order
     while fr.size:
         counts = np.bincount(fr, minlength=B)
         rank = np.arange(fr.size) - (np.cumsum(counts) - counts)[fr]
-        cols = pos[fr] + rank * q
+        words = pos[fr] + rank * q
         pos += counts * q
         over = pos[fr] > width
         for f in np.unique(fr[over]).tolist():
             slots[f] = draw_frame(streams.at(frame_lo + f), cdf, n, m, eps)[1]
-        fr, us, cols = fr[~over], us[~over], cols[~over]
-        slots[fr, us] = (x[fr[:, None], cols[:, None] + np.arange(q)] * n).astype(np.int32)
-        again = _has_repeat(slots[fr, us], valid[fr, us], n)
+        fr, us, words = fr[~over], us[~over], words[~over]
+        rows = (x[fr[:, None], words[:, None] + np.arange(q)] * n).astype(np.int32)
+        slots[fr, us] = rows
+        again = _has_repeat(rows.T, deg[fr, us])
         fr, us = fr[again], us[again]
 
+    survive = np.tri(q + 1, q, -1, dtype=bool).take(deg, axis=0)  # column < deg
+    recv = deg
     if eps > 0.0:
-        survive = valid & (x[:, m + m * q : first].reshape(B, m, q) >= eps)
-    else:
-        survive = valid
-    return deg, slots, survive
+        survive &= x[:, m + m * q : first].reshape(B, m, q) >= eps
+        recv = np.zeros((B, m), dtype=np.int16)
+        for j in range(q):
+            recv += survive[..., j]
+    return deg, recv, np.compress(survive.reshape(-1), slots)
 
 
 def _sample_chunk(spec: _ChunkSpec):
@@ -319,10 +349,12 @@ def _sample_chunk(spec: _ChunkSpec):
     ``codes`` (int64) the global slot code ``frame * n + slot`` and ``users``
     (int32) the global user id ``frame * m + user``, frames counted from the
     chunk's first. Frames go through ``_sample_block`` in blocks of
-    ``SAMPLE_BLOCK_FRAMES``, which bounds the uniform buffer.
+    ``SAMPLE_BLOCK_FRAMES``, which bounds the uniform buffer; the blocks keep
+    only their picked slots, and both edge arrays are built once for the
+    chunk, by repeating each frame's offset over its edges and each user's
+    id over its received degree.
     """
     n, m, eps = spec.n, spec.m, spec.epsilon
-    q = len(spec.probs) - 1
     B = spec.frame_hi - spec.frame_lo
     cdf = np.cumsum(spec.probs)
     spare = _spare_words(spec.probs, n, m)
@@ -330,19 +362,17 @@ def _sample_chunk(spec: _ChunkSpec):
 
     orig = np.empty((B, m), dtype=np.int16)
     recv = np.empty((B, m), dtype=np.int16)
-    codes, users = [], []
+    picked = []
     for lo in range(0, B, SAMPLE_BLOCK_FRAMES):
         hi = min(lo + SAMPLE_BLOCK_FRAMES, B)
-        deg, slots, survive = _sample_block(
+        orig[lo:hi], recv[lo:hi], slots = _sample_block(
             streams, spec.frame_lo + lo, hi - lo, cdf, n, m, eps, spare
         )
-        orig[lo:hi] = deg
-        recv[lo:hi] = survive.sum(axis=2, dtype=np.int16)
-        edges = np.flatnonzero(survive)  # (frame, user, column) order
-        gid = edges // q + lo * m
-        codes.append(gid // m * n + slots.reshape(-1)[edges])
-        users.append(gid.astype(np.int32))
-    return orig, recv, np.concatenate(codes), np.concatenate(users)
+        picked.append(slots)
+    offsets = np.arange(0, B * n, n, dtype=np.int64)
+    codes = np.repeat(offsets, recv.sum(axis=1)) + np.concatenate(picked)
+    users = np.repeat(np.arange(B * m, dtype=np.int32), recv.reshape(-1))
+    return orig, recv, codes, users
 
 
 def _peel_chunk(B, m, n, codes, users, recv):

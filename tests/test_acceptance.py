@@ -22,7 +22,9 @@ from csa_floor.predictor import analytic_report
 from csa_floor.stopping_sets import CATALOG, CATALOG_BY_ID, beta, beta_exact
 
 REF_DIST = parse_distribution("2:0.25,3:0.6,8:0.15")
-WORKERS = min(8, os.cpu_count() or 1)
+# the two sweep fixtures are byte-identical for any worker count; two workers
+# keep their memory small on machines shared with other jobs
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _report(criterion: int, message: str):

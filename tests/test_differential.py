@@ -25,6 +25,8 @@ from csa_floor.harness import (
     _ChunkSpec,
     _classify_residuals,
     _component_labels,
+    _degrees,
+    _has_repeat,
     _peel_chunk,
     _sample_chunk,
     frame_generator,
@@ -34,8 +36,9 @@ from csa_floor.stopping_sets import classify, components
 
 @st.composite
 def chunk_cases(draw):
-    """Small chunks whose distributions may put mass on degrees 0 and 1."""
-    weights = draw(st.lists(st.integers(0, 4), min_size=2, max_size=5).filter(any))
+    """Small chunks whose distributions may put mass on degrees 0 and 1, and
+    on degrees up to 9, so the duplicate test sees every column pair."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=2, max_size=10).filter(any))
     total = sum(weights)
     dist = DegreeDistribution(tuple(w / total for w in weights))
     n = draw(st.integers(max(dist.max_support_degree(), 1), 12))
@@ -88,6 +91,108 @@ def _slot_sets(codes, indptr, n, m, row):
 @given(chunk_cases())
 def test_chunk_kernel_matches_reference_path(case):
     _check_chunk_against_reference(*case)
+
+
+def _has_repeat_by_sort(rows, deg, n):
+    """Rows whose first ``deg`` slots are not all distinct, by sorting each
+    row with its columns past ``deg`` padded by distinct out-of-range slots,
+    as ``frame_model.draw_frame`` tests them."""
+    q = rows.shape[1]
+    valid = np.arange(q) < deg[:, None]
+    padded = np.where(valid, rows, np.arange(n, n + q))
+    padded.sort(axis=1)
+    return (padded[:, 1:] == padded[:, :-1]).any(axis=1)
+
+
+@st.composite
+def slot_rows(draw):
+    """Rows of q slots in few slot values, so repeats are common, each with a
+    degree from 0 to q; there are frames * m of them, to be viewed as frames."""
+    q = draw(st.integers(1, 10))
+    n = draw(st.integers(1, q + 2))
+    m = draw(st.integers(1, 4))
+    frames = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, n - 1), min_size=q, max_size=q)
+    rows = draw(st.lists(row, min_size=frames * m, max_size=frames * m))
+    deg = draw(st.lists(st.integers(0, q), min_size=frames * m, max_size=frames * m))
+    return np.array(rows, dtype=np.int32), np.array(deg, dtype=np.int16), n, frames
+
+
+@pytest.mark.parametrize(
+    "row, deg, repeats",
+    [
+        ([3, 3, 5, 7], 4, True),  # adjacent columns
+        ([3, 5, 7, 3], 4, True),  # first and last columns
+        ([1, 2, 3, 4, 5, 6, 7, 8, 9, 5], 10, True),  # columns 4 and 9
+        ([3, 5, 3, 3], 2, False),  # repeats only past the degree
+        ([3, 5, 7, 3], 3, False),  # column 3 repeats column 0, deg is 3
+        ([4, 4, 4], 1, False),
+        ([4, 4, 4], 0, False),
+        ([1, 2, 3, 4, 5, 6, 7, 8, 9, 1], 9, False),
+    ],
+)
+def test_has_repeat_cases(row, deg, repeats):
+    rows = np.array([row], dtype=np.int32)
+    deg = np.array([deg], dtype=np.int16)
+    assert _has_repeat(rows.T, deg).tolist() == [repeats]
+    assert _has_repeat_by_sort(rows, deg, 10).tolist() == [repeats]
+
+
+@given(slot_rows())
+def test_has_repeat_matches_sort(case):
+    """The pairwise duplicate test against the sort-based one, on rows given
+    as transposed (k, q) rows, as the redraw loop passes them, and as a
+    contiguous column-major (q, frames, m) copy, as the first draw does."""
+    rows, deg, n, frames = case
+    expected = _has_repeat_by_sort(rows, deg, n)
+    assert _has_repeat(rows.T, deg).tolist() == expected.tolist()
+    q = rows.shape[1]
+    by_col = np.ascontiguousarray(rows.reshape(frames, -1, q).transpose(2, 0, 1))
+    got = _has_repeat(by_col, deg.reshape(frames, -1))
+    assert got.reshape(-1).tolist() == expected.tolist()
+
+
+@st.composite
+def degree_cases(draw):
+    """A CDF, possibly with repeated values (degrees of probability zero),
+    and uniforms on its values, next to them and in between."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=10).filter(any))
+    cdf = np.cumsum(np.array(weights) / sum(weights))
+    edges = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [0.0]))
+    edges = edges[edges < 1.0].tolist() + [np.nextafter(1.0, 0.0)]
+    u = draw(st.lists(st.sampled_from(edges) | st.floats(0.0, 1.0, exclude_max=True)))
+    return cdf, np.array(u, dtype=np.float64)
+
+
+def _degrees_by_search(u, cdf):
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+@given(degree_cases())
+def test_degrees_match_searchsorted(case):
+    cdf, u = case
+    deg = _degrees(u, cdf)
+    assert deg.dtype == np.int16
+    assert deg.tolist() == _degrees_by_search(u, cdf).tolist()
+
+
+def test_degrees_when_cdf_ends_below_one():
+    """Ten probabilities of 0.1 sum to just below 1; a uniform past the last
+    CDF entry must still take the largest degree, as the capped
+    ``searchsorted`` gives it."""
+    cdf = np.cumsum([0.1] * 10)
+    assert cdf[-1] < 1.0
+    u = np.array([0.0, 0.1, np.nextafter(0.1, 0.0), cdf[-2], cdf[-1], np.nextafter(1.0, 0.0)])
+    assert _degrees(u, cdf).tolist() == _degrees_by_search(u, cdf).tolist()
+    assert _degrees(u, cdf)[-2:].tolist() == [9, 9]
+
+
+def test_degrees_with_zero_probability_degrees(ref_dist):
+    """The reference mixture's CDF repeats 0 twice and 0.85 five times; the
+    degrees must count each repeat."""
+    cdf = np.cumsum(ref_dist.probs)
+    u = np.array([0.0, 0.2, 0.25, 0.5, 0.85, 0.9])
+    assert _degrees(u, cdf).tolist() == [2, 2, 3, 3, 8, 8]
 
 
 @pytest.mark.parametrize("g", [0.9, 1.0])
