@@ -5,25 +5,30 @@ Every frame owns an independent counter-based random stream derived from
 for any worker count: workers only change how deterministic per-frame
 contributions are batched, and all accumulation is integer arithmetic.
 
-Frames are processed in fixed-size chunks. Sampling repositions the Philox
-counter once per frame and pulls that frame's uniforms in one call; degrees,
-slots, duplicate-slot redraws and erasures are then computed across a block
-of frames at once, reading each frame's words in the order
+Frames are processed in fixed-size chunks, and every chunk kernel works
+through a chunk in blocks of ``BLOCK_FRAMES`` frames. Sampling repositions
+the Philox counter once per frame and pulls that frame's uniforms in one
+call; degrees, slots, duplicate-slot redraws and erasures are then computed
+across a block of frames at once, reading each frame's words in the order
 ``frame_model.draw_frame`` does, and the rare frame whose redraws outrun its
 buffer row is drawn by ``draw_frame`` itself. The block sampler reaches the
 same frames by other arithmetic: a degree is a sum of compares against the
 distinct CDF values, and a repeated slot is found by comparing the slot
 columns pairwise on a column-major copy. A chunk's graph is one entry per
-edge: the global slot code ``frame * n + slot`` and the global user id
-``frame * m + user``, built once per chunk from the blocks' picked slots and
-used as they are by the peel and the labeller. Decoding is vectorized across the chunk: one packed
-int64 per slot holds its occupancy in the high bits and the sum of its
-users' global ids in the low 32, which name the user of any singleton slot.
-Each peeling wave resolves the users of the current singleton slots and
-updates the packed counters of their edges in one scatter, in time
-proportional to the edges it removes. Residual components are labelled by
-min-label propagation over the residual user/slot edges, in numpy, and the
-small ones are classified against the stopping-set catalog.
+edge: the global slot code ``frame * n + slot``, written block by block
+into one array sized for the chunk, and the global user id
+``frame * m + user``.
+
+A stopping set never leaves its frame, so decoding is block-local: each
+block is peeled and labelled on state sized to the block, its slot codes
+and user ids shifted by the block's first frame. One packed int64 per slot
+holds its occupancy in the high bits and the sum of its users' block-local
+ids in the low 32, which name the user of any singleton slot. Each peeling
+wave resolves the users of the current singleton slots and updates the
+packed counters of their edges in one scatter, in time proportional to the
+edges it removes. Residual components are labelled by min-label propagation
+over the block's residual user/slot edges, in numpy, and the small ones are
+classified against the stopping-set catalog.
 
 Each chunk stage has a reference path that tests compare it against on the
 same frames: ``sample_frame(cfg, frame_generator(seed, i, f))`` for
@@ -50,8 +55,10 @@ from .predictor import analytic_report
 from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_sets
 
 CHUNK_FRAMES = 4096
-# frames per uniform buffer in _sample_chunk: bounds the sampler's memory
-SAMPLE_BLOCK_FRAMES = 512
+# frames per block of every chunk kernel: bounds each kernel's working set
+# (the sampler's uniform buffer, the peel's slot state, the labeller's slot
+# labels); only the chunk's edge arrays and per-user arrays span the chunk
+BLOCK_FRAMES = 512
 # SweepPlan rejects plans whose largest degree needs more redraws per row
 MAX_ROW_REDRAWS = 64
 CSV_HEADER = "g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying"
@@ -128,7 +135,7 @@ class SweepPlan:
             m = round_half_up(g * self.n)
             if m < 1:
                 raise PlanError(f"load {g} at n = {self.n} rounds to zero users")
-            # the peel packs the global user ids of a chunk into 31 bits
+            # _sample_chunk numbers a chunk's users with int32 global ids
             if chunk * m >= 2**31:
                 raise PlanError(
                     f"load {g} at n = {self.n} puts {m} users in a frame, too "
@@ -252,6 +259,12 @@ def _row_redraws(l: int, n: int) -> float:
     return clash / (1.0 - clash) if clash < 1.0 else math.inf
 
 
+def _blocks(B: int) -> list[tuple[int, int]]:
+    """The frame ranges [lo, hi) of a chunk of B frames, BLOCK_FRAMES each
+    but the last."""
+    return [(lo, min(lo + BLOCK_FRAMES, B)) for lo in range(0, B, BLOCK_FRAMES)]
+
+
 def _spare_words(probs, n: int, m: int) -> int:
     """Uniforms each frame's buffer row carries past its first draw, for
     duplicate-slot redraws: q per expected redrawn row plus a margin, at most
@@ -349,10 +362,10 @@ def _sample_chunk(spec: _ChunkSpec):
     ``codes`` (int64) the global slot code ``frame * n + slot`` and ``users``
     (int32) the global user id ``frame * m + user``, frames counted from the
     chunk's first. Frames go through ``_sample_block`` in blocks of
-    ``SAMPLE_BLOCK_FRAMES``, which bounds the uniform buffer; the blocks keep
-    only their picked slots, and both edge arrays are built once for the
-    chunk, by repeating each frame's offset over its edges and each user's
-    id over its received degree.
+    ``BLOCK_FRAMES``, which bounds the uniform buffer. The blocks keep only
+    their int32 picked slots; once the chunk's edge count is known, each
+    block adds its frames' offsets to its slots straight into its range of
+    ``codes``, and ``users`` repeats each user's id over its received degree.
     """
     n, m, eps = spec.n, spec.m, spec.epsilon
     B = spec.frame_hi - spec.frame_lo
@@ -363,59 +376,74 @@ def _sample_chunk(spec: _ChunkSpec):
     orig = np.empty((B, m), dtype=np.int16)
     recv = np.empty((B, m), dtype=np.int16)
     picked = []
-    for lo in range(0, B, SAMPLE_BLOCK_FRAMES):
-        hi = min(lo + SAMPLE_BLOCK_FRAMES, B)
+    for lo, hi in _blocks(B):
         orig[lo:hi], recv[lo:hi], slots = _sample_block(
             streams, spec.frame_lo + lo, hi - lo, cdf, n, m, eps, spare
         )
         picked.append(slots)
-    offsets = np.arange(0, B * n, n, dtype=np.int64)
-    codes = np.repeat(offsets, recv.sum(axis=1)) + np.concatenate(picked)
+
+    codes = np.empty(sum(p.size for p in picked), dtype=np.int64)
+    e = 0
+    for (lo, hi), slots in zip(_blocks(B), picked):
+        offsets = np.arange(lo * n, hi * n, n, dtype=np.int64)
+        k = slots.size
+        np.add(np.repeat(offsets, recv[lo:hi].sum(axis=1)), slots, out=codes[e : e + k])
+        e += k
+    del picked  # before users: the picked slots and users never coexist
     users = np.repeat(np.arange(B * m, dtype=np.int32), recv.reshape(-1))
     return orig, recv, codes, users
 
 
 def _peel_chunk(B, m, n, codes, users, recv):
-    """Vectorized peeling of a whole chunk; returns (resolved (B, m), indptr).
+    """Peeling of a chunk, block by block; returns (resolved (B, m), indptr).
 
     ``codes`` and ``users`` are ``_sample_chunk``'s global slot codes and
-    user ids per edge. ``state`` packs each slot's counters into one int64:
-    every edge in the slot adds ``(1 << 32) + user id``, so ``state >> 32``
-    is the slot's occupancy and, in a singleton slot, the low 32 bits are
-    its user's global id. A slot with two or more edges keeps
+    user ids per edge. The edges of frames [lo, hi) are the contiguous range
+    ``indptr[lo*m] : indptr[hi*m]``, peeled with slot codes shifted by
+    ``lo * n`` and user ids by ``lo * m`` on a ``state`` of ``(hi - lo) * n``
+    slots, each packing its counters into one int64: every edge in the slot
+    adds ``(1 << 32) + block-local user id``, so ``state >> 32`` is the
+    slot's occupancy and, in a singleton slot, the low 32 bits are its
+    user's block-local id. A slot with two or more edges keeps
     ``state >= 2 << 32`` whatever its id sum, so the singleton test is exact
-    for any B * m < 2**31, which ``SweepPlan`` enforces. Each wave resolves
-    the users of the current singleton slots, removes their edges with one
-    ``np.subtract.at`` and takes the removed slots that became singletons as
-    the next frontier, so a wave costs O(edges it removes) and peeling costs
-    O(edges) in all.
+    for block-local ids below 2**32; they are below ``BLOCK_FRAMES * m``.
+    Each wave resolves the users of the current singleton slots, removes
+    their edges with one ``np.subtract.at`` and takes the removed slots that
+    became singletons as the next frontier, so a wave costs O(edges it
+    removes) and peeling costs O(edges) in all.
     """
     indptr = np.zeros(B * m + 1, dtype=np.int64)
     np.cumsum(recv.reshape(-1), out=indptr[1:])
-
-    state = np.zeros(B * n, dtype=np.int64)
-    np.add.at(state, codes, users + _EDGE)
-
     resolved = np.zeros(B * m, dtype=bool)
-    owner = np.empty(B * m, dtype=np.int32)  # dedupe scratch, see below
-    frontier = np.flatnonzero(state >> 32 == 1)
-    while frontier.size:
-        # a singleton's user still has all its edges, so it is unresolved;
-        # the frontier may repeat a slot or name one user through two slots,
-        # and exactly one position per distinct user wins the owner write
-        gid = state[frontier] & _LOW
-        rank = np.arange(gid.size, dtype=np.int32)
-        owner[gid] = rank
-        gid = gid[owner[gid] == rank]
-        resolved[gid] = True
+    for lo, hi in _blocks(B):
+        e0, e1 = indptr[lo * m], indptr[hi * m]
+        # the block's edges and user bounds, shifted to block-local numbering
+        bcodes = codes[e0:e1] - lo * n
+        busers = users[e0:e1] - lo * m
+        bptr = indptr[lo * m : hi * m + 1] - e0
+        state = np.zeros((hi - lo) * n, dtype=np.int64)
+        np.add.at(state, bcodes, busers + _EDGE)
 
-        starts = indptr[gid]
-        counts = indptr[gid + 1] - starts
-        ends = np.cumsum(counts)
-        idx = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
-        removed = codes[idx]
-        np.subtract.at(state, removed, users[idx] + _EDGE)
-        frontier = removed[state[removed] >> 32 == 1]
+        done = resolved[lo * m : hi * m]
+        owner = np.empty((hi - lo) * m, dtype=np.int32)  # dedupe scratch, see below
+        frontier = np.flatnonzero(state >> 32 == 1)
+        while frontier.size:
+            # a singleton's user still has all its edges, so it is unresolved;
+            # the frontier may repeat a slot or name one user through two slots,
+            # and exactly one position per distinct user wins the owner write
+            gid = state[frontier] & _LOW
+            rank = np.arange(gid.size, dtype=np.int32)
+            owner[gid] = rank
+            gid = gid[owner[gid] == rank]
+            done[gid] = True
+
+            starts = bptr[gid]
+            counts = bptr[gid + 1] - starts
+            ends = np.cumsum(counts)
+            idx = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+            removed = bcodes[idx]
+            np.subtract.at(state, removed, busers[idx] + _EDGE)
+            frontier = removed[state[removed] >> 32 == 1]
     return resolved.reshape(B, m), indptr
 
 
@@ -448,39 +476,46 @@ def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, i
 def _classify_residuals(B, m, n, codes, recv, indptr, resolved_flat) -> Counter:
     """Histogram of residual component classes for a decoded chunk.
 
-    Components are labelled over the residual edges' global slot codes. A
-    component lies in one frame, so its users' slot sets taken from
-    ``codes`` are its slot sets shifted by ``frame * n``, which
-    ``classify_slot_sets`` does not see.
+    A component lies in one frame, so each block is labelled on its own
+    slots: its residual edges' codes, shifted by the block's first slot.
+    A small component's slot sets are read from the global ``codes``; they
+    are its slot sets shifted by ``frame * n``, which ``classify_slot_sets``
+    does not see.
     """
     hist: Counter = Counter()
     recv_flat = recv.reshape(B * m)
-    degree0 = int(((recv_flat == 0) & ~resolved_flat).sum())
+    unresolved = ~resolved_flat
+    degree0 = int(((recv_flat == 0) & unresolved).sum())
     if degree0:
         hist[DEGREE0_LABEL] += degree0
 
-    # unresolved users with edges, by global id; edges are ordered by
-    # (frame, user, column), so repeating each user's flag over its edges
-    # selects the residual ones, grouped by user in id order
-    users = np.flatnonzero(~resolved_flat & (recv_flat > 0))
-    if not users.size:
-        return hist
-    rcode = codes[np.repeat(~resolved_flat, recv_flat)]
-    u_inv = np.repeat(np.arange(users.size), recv_flat[users])
-    labels, _ = _component_labels(rcode, u_inv, users.size, B * n)
-    sizes = np.bincount(labels, minlength=users.size)
+    for lo, hi in _blocks(B):
+        u0, u1 = lo * m, hi * m
+        block_recv, block_unres = recv_flat[u0:u1], unresolved[u0:u1]
+        # unresolved users with edges, by block-local id; edges are ordered
+        # by (frame, user, column), so repeating each user's flag over its
+        # edges selects the residual ones, grouped by user in id order
+        users = np.flatnonzero(block_unres & (block_recv > 0))
+        if not users.size:
+            continue
+        rcode = codes[indptr[u0] : indptr[u1]][np.repeat(block_unres, block_recv)]
+        rcode -= lo * n
+        u_inv = np.repeat(np.arange(users.size), block_recv[users])
+        labels, _ = _component_labels(rcode, u_inv, users.size, (hi - lo) * n)
+        sizes = np.bincount(labels, minlength=users.size)
 
-    hist[OTHER_LABEL] += int((sizes > _MAX_CLASS_SIZE).sum())
+        hist[OTHER_LABEL] += int((sizes > _MAX_CLASS_SIZE).sum())
 
-    small = np.flatnonzero(sizes[labels] <= _MAX_CLASS_SIZE)
-    if small.size:
-        small = small[np.argsort(labels[small], kind="stable")]
-        bounds = np.flatnonzero(np.diff(labels[small])) + 1
-        for ranks in np.split(small, bounds):
-            slot_sets = [
-                frozenset(codes[indptr[g] : indptr[g + 1]].tolist()) for g in users[ranks]
-            ]
-            hist[classify_slot_sets(slot_sets)] += 1
+        small = np.flatnonzero(sizes[labels] <= _MAX_CLASS_SIZE)
+        if small.size:
+            small = small[np.argsort(labels[small], kind="stable")]
+            bounds = np.flatnonzero(np.diff(labels[small])) + 1
+            for ranks in np.split(small, bounds):
+                slot_sets = [
+                    frozenset(codes[indptr[g] : indptr[g + 1]].tolist())
+                    for g in (users[ranks] + u0).tolist()
+                ]
+                hist[classify_slot_sets(slot_sets)] += 1
     return hist
 
 

@@ -47,8 +47,11 @@ def _matching_assignments(sclass: StoppingSetClass, n: int) -> frozenset:
     """Every ordered joint assignment realizing the class topology.
 
     Assignments are tuples of per-user sorted slot tuples, users in topology
-    order. Ranging over all injective label-to-slot maps covers every
-    permutation among equal-degree users automatically.
+    order, from every injective label-to-slot map. For the catalog classes
+    S1-S8 that also covers every permutation among equal-degree users,
+    because each such permutation is a relabelling of the topology. It is
+    not so for topologies in general: in the degree-2 4-cycle, swapping two
+    adjacent users is no relabelling, and those assignments are missed.
     """
     labels = sorted({l for u in sclass.topology for l in u})
     out = set()

@@ -21,7 +21,7 @@ from csa_floor.decoder import peel
 from csa_floor.distributions import ChannelModel, DegreeDistribution
 from csa_floor.frame_model import FrameConfig, round_half_up, sample_frame
 from csa_floor.harness import (
-    SAMPLE_BLOCK_FRAMES,
+    BLOCK_FRAMES,
     _ChunkSpec,
     _classify_residuals,
     _component_labels,
@@ -207,6 +207,21 @@ def test_large_residual_chunks_match_reference(ref_dist, g):
     assert hist["Other"] > frames // 2
 
 
+def test_block_boundaries_match_reference(ref_dist):
+    """Three blocks, the last partial, past the threshold: every block keeps
+    residual components, which the peel and the labeller handle on
+    block-local state with shifted slot codes and user ids. Frames on both
+    sides of each block boundary must match the reference path."""
+    n, frames = 200, 2 * BLOCK_FRAMES + 7
+    m = round_half_up(0.9 * n)
+    spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 53, 2, 9000, 9000 + frames, "induced")
+    cfg = FrameConfig(m=m, n=n, dist=ref_dist, channel=ChannelModel(0.0))
+    hist, resolved = _check_chunk_against_reference(spec, cfg)
+    for lo in range(0, frames, BLOCK_FRAMES):
+        assert not resolved[lo : lo + BLOCK_FRAMES].all()
+    assert sum(hist[c] for c in hist if c.startswith("S")) > 0
+
+
 def test_waterfall_chunk_matches_reference(ref_dist):
     """Just below the threshold this chunk peels in about thirty waves, and a
     frame may be fully resolved or keep a large residual."""
@@ -325,7 +340,7 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
     reference draw."""
     dist = DegreeDistribution((0.0, 0.0, 0.0, 1.0))
     m, n, eps = 5, 4, 0.2
-    frame_lo, B = 1000, 2 * SAMPLE_BLOCK_FRAMES + 7
+    frame_lo, B = 1000, 2 * BLOCK_FRAMES + 7
     spec = _ChunkSpec(dist.probs, n, m, eps, 2**64 - 3, 2, frame_lo, frame_lo + B, "original")
 
     overflowed = []  # frames the sampler takes from the reference draw

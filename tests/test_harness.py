@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from csa_floor.distributions import ChannelModel, parse_distribution, validate
 from csa_floor.harness import (
     CSV_HEADER,
     HISTOGRAM_KEYS,
-    SAMPLE_BLOCK_FRAMES,
+    BLOCK_FRAMES,
     PlanError,
     SweepPlan,
+    _ChunkSpec,
+    _classify_residuals,
+    _peel_chunk,
+    _sample_chunk,
     confidence_interval,
     csv_lines,
     frame_generator,
@@ -236,7 +241,7 @@ class TestDeterminism:
             n=200,
             epsilon=epsilon,
             loads=(0.2, 0.5),
-            frames=2 * SAMPLE_BLOCK_FRAMES + 7,
+            frames=2 * BLOCK_FRAMES + 7,
             seed=20141209,
             keying=keying,
             out_csv=str(csv_path),
@@ -245,6 +250,31 @@ class TestDeterminism:
         run_sweep(plan)
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha256
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha256
+
+    def test_multi_block_waterfall_bytes_pinned(self, ref_dist, tmp_path):
+        # three blocks per load in the waterfall, where every block keeps
+        # residual components for the peel and the labeller to carry
+        csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+        plan = SweepPlan(
+            dist=ref_dist,
+            n=200,
+            epsilon=0.0,
+            loads=(0.8, 0.9),
+            frames=2 * BLOCK_FRAMES + 7,
+            seed=20141209,
+            keying=DegreeKeying.INDUCED,
+            out_csv=str(csv_path),
+            out_json=str(json_path),
+        )
+        run_sweep(plan)
+        assert (
+            hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            == "ad674b5adccf23ee73d23b7c214302b6870c58aec2641a9723538e994cdb6e37"
+        )
+        assert (
+            hashlib.sha256(json_path.read_bytes()).hexdigest()
+            == "31287bd48acf47762230d8c19b427529a74eadb124f8ec065e684b73609ddcb1"
+        )
 
     def test_rerun_identical(self, ref_dist):
         plan = SweepPlan(
@@ -298,3 +328,38 @@ class TestSimulationAgainstAnalytics:
         row = run_sweep(plan)[0]
         assert row.plr_sim[2] == pytest.approx(row.plr_analytic[2], rel=0.35)
         assert row.histogram["S5"] > 0
+
+
+def _extra_traced_bytes(kernel, *args):
+    """Working memory of one kernel call: the traced peak, less what was
+    traced at entry and the arrays it returns."""
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        out = kernel(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in out) if isinstance(out, tuple) else 0
+    return peak - entry - returned, out
+
+
+def test_decode_working_memory_bounded_by_block(ref_dist):
+    """Past the threshold every frame keeps a residual. The peel and the
+    labeller run each block on state sized to the block, so four blocks
+    need well under twice the working memory of one; state sized to the
+    chunk would need about four times as much."""
+    n = 200
+    m = round_half_up(0.9 * n)
+    peel_extra, classify_extra = [], []
+    for frames in (BLOCK_FRAMES, 4 * BLOCK_FRAMES):
+        spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 5, 0, 0, frames, "induced")
+        orig, recv, codes, users = _sample_chunk(spec)
+        extra, (resolved, indptr) = _extra_traced_bytes(_peel_chunk, frames, m, n, codes, users, recv)
+        peel_extra.append(extra)
+        extra, _ = _extra_traced_bytes(
+            _classify_residuals, frames, m, n, codes, recv, indptr, resolved.reshape(-1)
+        )
+        classify_extra.append(extra)
+    assert peel_extra[1] < 2 * peel_extra[0], peel_extra
+    assert classify_extra[1] < 2 * classify_extra[0], classify_extra

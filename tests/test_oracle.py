@@ -1,13 +1,15 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from csa_floor.oracle import (
     EnumerationTooLarge,
+    _matching_assignments,
     exact_beta,
     exact_event_probabilities,
 )
-from csa_floor.stopping_sets import CATALOG_BY_ID, beta_exact
+from csa_floor.stopping_sets import CATALOG, CATALOG_BY_ID, StoppingSetClass, beta_exact
 
 EXACT_CLASSES = ("S1", "S2", "S3", "S4", "S5", "S8")
 CHECK_N = (6, 8, 12)
@@ -49,6 +51,28 @@ class TestExactBeta:
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationTooLarge):
             exact_beta(CATALOG_BY_ID["S8"], 5000)
+
+
+def _missing_permutations(sclass, n):
+    """Assignments reached from ``_matching_assignments`` by permuting
+    equal-degree users that it does not list itself."""
+    matching = _matching_assignments(sclass, n)
+    degrees = [len(u) for u in sclass.topology]
+    perms = [
+        p for p in permutations(range(len(degrees)))
+        if all(degrees[j] == degrees[i] for i, j in enumerate(p))
+    ]
+    return {tuple(a[j] for j in p) for a in matching for p in perms} - matching
+
+
+class TestMatchingAssignments:
+    @pytest.mark.parametrize("cid", [c.id for c in CATALOG])
+    def test_closed_under_equal_degree_permutations(self, cid):
+        assert not _missing_permutations(CATALOG_BY_ID[cid], 6)
+
+    def test_degree2_four_cycle_is_not_closed(self):
+        cycle = StoppingSetClass("C4", tuple(map(frozenset, ("ab", "bc", "cd", "da"))), None)
+        assert _missing_permutations(cycle, 6)
 
 
 class TestExactEvents:
