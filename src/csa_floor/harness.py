@@ -14,16 +14,16 @@ across a block of frames at once, reading each frame's words in the order
 buffer row is drawn by ``draw_frame`` itself. The block sampler reaches the
 same frames by other arithmetic: a degree is a sum of compares against the
 distinct CDF values, and a repeated slot is found by comparing the slot
-columns pairwise on a column-major copy. A chunk's graph is one entry per
-edge: the global slot code ``frame * n + slot``, written block by block
-into one array sized for the chunk, and the global user id
-``frame * m + user``.
+columns pairwise on a column-major copy. A chunk's graph is one int32 per
+edge, in (frame, user, column) order: the block-local slot code
+``(frame - block_lo) * n + slot``; each edge's user follows from the
+received degrees.
 
 A stopping set never leaves its frame, so decoding is block-local: each
-block is peeled and labelled on state sized to the block, its slot codes
-and user ids shifted by the block's first frame. One packed int64 per slot
-holds its occupancy in the high bits and the sum of its users' block-local
-ids in the low 32, which name the user of any singleton slot. Each peeling
+block is peeled and labelled on state sized to the block, straight from
+its slice of the codes. One packed int64 per slot holds its occupancy in
+the high bits and the sum of its users' block-local ids in the low 32,
+which name the user of any singleton slot. Each peeling
 wave resolves the users of the current singleton slots and updates the
 packed counters of their edges in one scatter, in time proportional to the
 edges it removes. Residual components are labelled by min-label propagation
@@ -57,7 +57,7 @@ from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_se
 CHUNK_FRAMES = 4096
 # frames per block of every chunk kernel: bounds each kernel's working set
 # (the sampler's uniform buffer, the peel's slot state, the labeller's slot
-# labels); only the chunk's edge arrays and per-user arrays span the chunk
+# labels); only the chunk's slot codes and per-user arrays span the chunk
 BLOCK_FRAMES = 512
 # SweepPlan rejects plans whose largest degree needs more redraws per row
 MAX_ROW_REDRAWS = 64
@@ -135,12 +135,19 @@ class SweepPlan:
             m = round_half_up(g * self.n)
             if m < 1:
                 raise PlanError(f"load {g} at n = {self.n} rounds to zero users")
-            # _sample_chunk numbers a chunk's users with int32 global ids
+            # block-local user ids must fit the labeller's int32 labels and the
+            # peel's 32 packed bits; per chunk, it also caps per-user arrays
             if chunk * m >= 2**31:
                 raise PlanError(
                     f"load {g} at n = {self.n} puts {m} users in a frame, too "
                     f"many for chunks of {chunk} frames"
                 )
+        block = min(self.frames, BLOCK_FRAMES)
+        if block * self.n >= 2**31:
+            raise PlanError(
+                f"n = {self.n} gives {block}-frame blocks too many slots for "
+                f"int32 slot codes"
+            )
         l = self.dist.max_support_degree()
         if self.n < l:
             raise PlanError(f"n = {self.n} cannot host degree-{l} users")
@@ -226,25 +233,24 @@ class _ChunkSpec:
 
 class _FrameStreams:
     """The per-frame streams of one load point behind a single Philox, whose
-    counter is repositioned for each frame instead of rebuilt."""
+    counter is repositioned for each frame instead of rebuilt. Its state, a
+    fresh Philox's with the buffer used up, holds plain int lists: faster to
+    assign than numpy arrays, whose words the setter unboxes one by one."""
 
     def __init__(self, seed: int, point_index: int):
         self._bg = Philox(key=_philox_key(seed, point_index))
         self._gen = Generator(self._bg)
-        self._state = self._bg.state
-        self._counter = np.zeros(4, dtype=np.uint64)  # word 2 is the frame
-        self._state["state"]["counter"] = self._counter
+        self._state = state = self._bg.state
+        state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+        self._counter = state["state"]["counter"]  # word 2 is the frame
 
     def at(self, frame: int) -> Generator:
         """The generator at the start of frame ``frame``'s stream, where
         ``frame_generator(seed, point_index, frame)`` starts; valid until the
         next call."""
-        state = self._state
         self._counter[2] = frame
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bg.state = state
+        self._bg.state = self._state
         return self._gen
 
     def fill(self, frame: int, out: np.ndarray) -> np.ndarray:
@@ -357,15 +363,14 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
 def _sample_chunk(spec: _ChunkSpec):
     """Sample frames frame_lo..frame_hi-1, one Philox stream per frame.
 
-    Returns (orig, recv, codes, users): drawn and surviving degree matrices
-    of shape (B, m), then one entry per edge in (frame, user, column) order:
-    ``codes`` (int64) the global slot code ``frame * n + slot`` and ``users``
-    (int32) the global user id ``frame * m + user``, frames counted from the
-    chunk's first. Frames go through ``_sample_block`` in blocks of
-    ``BLOCK_FRAMES``, which bounds the uniform buffer. The blocks keep only
-    their int32 picked slots; once the chunk's edge count is known, each
-    block adds its frames' offsets to its slots straight into its range of
-    ``codes``, and ``users`` repeats each user's id over its received degree.
+    Returns (orig, recv, codes): drawn and surviving degree matrices of shape
+    (B, m), then one int32 per edge in (frame, user, column) order, the
+    block-local slot code ``(frame - block_lo) * n + slot`` of the block of
+    ``BLOCK_FRAMES`` frames holding it, frames counted from the chunk's first.
+    Each frame's users own consecutive edges, as many as their received
+    degrees. The blocks go through ``_sample_block``, which bounds the
+    uniform buffer, and add their frames' offsets to their picked slots in
+    place; the chunk's arrays hold 4 bytes per edge and 4 per user.
     """
     n, m, eps = spec.n, spec.m, spec.epsilon
     B = spec.frame_hi - spec.frame_lo
@@ -380,49 +385,43 @@ def _sample_chunk(spec: _ChunkSpec):
         orig[lo:hi], recv[lo:hi], slots = _sample_block(
             streams, spec.frame_lo + lo, hi - lo, cdf, n, m, eps, spare
         )
+        offsets = np.arange(0, (hi - lo) * n, n, dtype=np.int32)
+        slots += np.repeat(offsets, recv[lo:hi].sum(axis=1))
         picked.append(slots)
-
-    codes = np.empty(sum(p.size for p in picked), dtype=np.int64)
-    e = 0
-    for (lo, hi), slots in zip(_blocks(B), picked):
-        offsets = np.arange(lo * n, hi * n, n, dtype=np.int64)
-        k = slots.size
-        np.add(np.repeat(offsets, recv[lo:hi].sum(axis=1)), slots, out=codes[e : e + k])
-        e += k
-    del picked  # before users: the picked slots and users never coexist
-    users = np.repeat(np.arange(B * m, dtype=np.int32), recv.reshape(-1))
-    return orig, recv, codes, users
+    return orig, recv, np.concatenate(picked)
 
 
-def _peel_chunk(B, m, n, codes, users, recv):
+def _peel_chunk(B, m, n, codes, recv):
     """Peeling of a chunk, block by block; returns (resolved (B, m), indptr).
 
-    ``codes`` and ``users`` are ``_sample_chunk``'s global slot codes and
-    user ids per edge. The edges of frames [lo, hi) are the contiguous range
-    ``indptr[lo*m] : indptr[hi*m]``, peeled with slot codes shifted by
-    ``lo * n`` and user ids by ``lo * m`` on a ``state`` of ``(hi - lo) * n``
-    slots, each packing its counters into one int64: every edge in the slot
-    adds ``(1 << 32) + block-local user id``, so ``state >> 32`` is the
-    slot's occupancy and, in a singleton slot, the low 32 bits are its
-    user's block-local id. A slot with two or more edges keeps
-    ``state >= 2 << 32`` whatever its id sum, so the singleton test is exact
-    for block-local ids below 2**32; they are below ``BLOCK_FRAMES * m``.
+    ``codes`` are ``_sample_chunk``'s block-local slot codes. The edges of
+    frames [lo, hi) are the contiguous range ``indptr[lo*m] : indptr[hi*m]``,
+    peeled on a ``state`` of ``(hi - lo) * n`` slots, each packing its
+    counters into one int64: every edge in the slot adds
+    ``(1 << 32) + block-local user id``, so ``state >> 32`` is the slot's
+    occupancy and, in a singleton slot, the low 32 bits are its user's
+    block-local id. A slot with two or more edges keeps ``state >= 2 << 32``
+    whatever its id sum, so the singleton test is exact for block-local ids
+    below 2**32; they are below ``BLOCK_FRAMES * m``. Once its state is
+    built, a block's working set is 8 bytes per block edge and per slot.
     Each wave resolves the users of the current singleton slots, removes
-    their edges with one ``np.subtract.at`` and takes the removed slots that
-    became singletons as the next frontier, so a wave costs O(edges it
-    removes) and peeling costs O(edges) in all.
+    their edges with one ``np.subtract.at`` of each user's addend repeated
+    over its edges, and takes the removed slots that became singletons as
+    the next frontier, so a wave costs O(edges it removes) and peeling costs
+    O(edges) in all.
     """
     indptr = np.zeros(B * m + 1, dtype=np.int64)
     np.cumsum(recv.reshape(-1), out=indptr[1:])
     resolved = np.zeros(B * m, dtype=bool)
     for lo, hi in _blocks(B):
         e0, e1 = indptr[lo * m], indptr[hi * m]
-        # the block's edges and user bounds, shifted to block-local numbering
-        bcodes = codes[e0:e1] - lo * n
-        busers = users[e0:e1] - lo * m
+        # intp indices: numpy's fancy indexing converts int32 ones per call
+        bcodes = codes[e0:e1].astype(np.intp)
         bptr = indptr[lo * m : hi * m + 1] - e0
+        addend = np.repeat(np.arange(_EDGE, _EDGE + (hi - lo) * m), recv[lo:hi].reshape(-1))
         state = np.zeros((hi - lo) * n, dtype=np.int64)
-        np.add.at(state, bcodes, busers + _EDGE)
+        np.add.at(state, bcodes, addend)
+        del addend  # each wave repeats its users' addends over their edges
 
         done = resolved[lo * m : hi * m]
         owner = np.empty((hi - lo) * m, dtype=np.int32)  # dedupe scratch, see below
@@ -442,7 +441,7 @@ def _peel_chunk(B, m, n, codes, users, recv):
             ends = np.cumsum(counts)
             idx = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
             removed = bcodes[idx]
-            np.subtract.at(state, removed, busers[idx] + _EDGE)
+            np.subtract.at(state, removed, np.repeat(gid + _EDGE, counts))
             frontier = removed[state[removed] >> 32 == 1]
     return resolved.reshape(B, m), indptr
 
@@ -454,7 +453,8 @@ def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, i
     smallest user rank in its component, and the propagation rounds taken.
 
     Labels only fall: each round takes every slot's minimum user label, then
-    every user's minimum slot label, then jumps pointers (label of label)
+    every user's minimum slot label, hooks each user's old label (a user of
+    its component) to its new one, then jumps pointers (label of label)
     until they settle. A round that moves no label ends the propagation.
     """
     labels = np.arange(nu, dtype=np.int32)
@@ -463,6 +463,7 @@ def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, i
         np.minimum.at(slot_lab, rcode, labels[u_inv])
         new = labels.copy()
         np.minimum.at(new, u_inv, slot_lab[rcode])
+        np.minimum.at(new, labels, new.copy())
         while True:
             jumped = new[new]
             if np.array_equal(jumped, new):
@@ -477,10 +478,9 @@ def _classify_residuals(B, m, n, codes, recv, indptr, resolved_flat) -> Counter:
     """Histogram of residual component classes for a decoded chunk.
 
     A component lies in one frame, so each block is labelled on its own
-    slots: its residual edges' codes, shifted by the block's first slot.
-    A small component's slot sets are read from the global ``codes``; they
-    are its slot sets shifted by ``frame * n``, which ``classify_slot_sets``
-    does not see.
+    slots, its residual edges' block-local codes. A small component's slot
+    sets are read from ``codes`` too; they are its slot sets shifted by
+    ``(frame - block_lo) * n``, which ``classify_slot_sets`` does not see.
     """
     hist: Counter = Counter()
     recv_flat = recv.reshape(B * m)
@@ -499,7 +499,7 @@ def _classify_residuals(B, m, n, codes, recv, indptr, resolved_flat) -> Counter:
         if not users.size:
             continue
         rcode = codes[indptr[u0] : indptr[u1]][np.repeat(block_unres, block_recv)]
-        rcode -= lo * n
+        rcode = rcode.astype(np.intp)  # numpy converts int32 indices per call
         u_inv = np.repeat(np.arange(users.size), block_recv[users])
         labels, _ = _component_labels(rcode, u_inv, users.size, (hi - lo) * n)
         sizes = np.bincount(labels, minlength=users.size)
@@ -523,8 +523,8 @@ def _run_chunk(spec: _ChunkSpec):
     """Worker entry point: returns (point_index, totals, unresolved, histogram)."""
     q = len(spec.probs) - 1
     B = spec.frame_hi - spec.frame_lo
-    orig, recv, codes, users = _sample_chunk(spec)
-    resolved, indptr = _peel_chunk(B, spec.m, spec.n, codes, users, recv)
+    orig, recv, codes = _sample_chunk(spec)
+    resolved, indptr = _peel_chunk(B, spec.m, spec.n, codes, recv)
     resolved_flat = resolved.reshape(-1)
 
     keyed = recv if spec.keying == DegreeKeying.INDUCED.value else orig

@@ -301,6 +301,11 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert "users in a frame" in capsys.readouterr().err
 
+    def test_block_too_large_for_int32_slot_codes_exits_1(self, capsys):
+        argv = ["simulate", "--dist", "3:1.0", "--n", str(2**22), "--g", "0.1"]
+        assert main(argv) == 1
+        assert "slot codes" in capsys.readouterr().err
+
     def test_unwritable_output_exits_2(self, capsys):
         code = main(
             [

@@ -61,10 +61,11 @@ def chunk_cases(draw):
 
 def _check_chunk_against_reference(spec, cfg):
     B, m, n = spec.frame_hi - spec.frame_lo, spec.m, spec.n
-    orig, recv, codes, users = _sample_chunk(spec)
-    assert codes.dtype == np.int64 and users.dtype == np.int32
-    assert np.array_equal(users, np.repeat(np.arange(B * m), recv.ravel()))
-    resolved, indptr = _peel_chunk(B, m, n, codes, users, recv)
+    orig, recv, codes = _sample_chunk(spec)
+    indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
+    _check_block_local(codes, indptr, n, m, B)
+    resolved, peel_indptr = _peel_chunk(B, m, n, codes, recv)
+    assert np.array_equal(peel_indptr, indptr)
     hist = _classify_residuals(B, m, n, codes, recv, indptr, resolved.reshape(-1))
 
     expected_hist = Counter()
@@ -80,10 +81,20 @@ def _check_chunk_against_reference(spec, cfg):
     return hist, resolved
 
 
+def _check_block_local(codes, indptr, n, m, B):
+    """``codes`` are int32 and each frame's codes name its block-local
+    frame: ``codes // n == frame - block_lo``."""
+    assert codes.dtype == np.int32 and codes.size == indptr[-1]
+    for row in range(B):
+        frame_codes = codes[indptr[row * m] : indptr[(row + 1) * m]]
+        assert (frame_codes // n == row % BLOCK_FRAMES).all()
+
+
 def _slot_sets(codes, indptr, n, m, row):
-    """Each user's slots in frame ``row`` of a chunk, from the global codes."""
+    """Each user's slots in frame ``row`` of a chunk, from the block-local
+    codes."""
     return [
-        frozenset((codes[indptr[g] : indptr[g + 1]] - row * n).tolist())
+        frozenset((codes[indptr[g] : indptr[g + 1]] - row % BLOCK_FRAMES * n).tolist())
         for g in range(row * m, (row + 1) * m)
     ]
 
@@ -210,7 +221,7 @@ def test_large_residual_chunks_match_reference(ref_dist, g):
 def test_block_boundaries_match_reference(ref_dist):
     """Three blocks, the last partial, past the threshold: every block keeps
     residual components, which the peel and the labeller handle on
-    block-local state with shifted slot codes and user ids. Frames on both
+    block-local state from block-local slot codes. Frames on both
     sides of each block boundary must match the reference path."""
     n, frames = 200, 2 * BLOCK_FRAMES + 7
     m = round_half_up(0.9 * n)
@@ -242,11 +253,10 @@ def test_packed_slot_state_exact_past_32_bit_index_sums():
     n, m = 4, 100_001
     slots = [(2, 3)] + [(0, 1)] * (m - 2) + [(2,)]
     recv = np.array([[len(s) for s in slots]], dtype=np.int16)
-    users = np.repeat(np.arange(m, dtype=np.int32), recv[0])
-    codes = np.array([s for row in slots for s in row], dtype=np.int64)
+    codes = np.array([s for row in slots for s in row], dtype=np.int32)
     assert sum(range(1, m - 1)) > 2**32
 
-    resolved, indptr = _peel_chunk(1, m, n, codes, users, recv)
+    resolved, indptr = _peel_chunk(1, m, n, codes, recv)
     expected = np.zeros((1, m), dtype=bool)
     expected[0, [0, m - 1]] = True
     assert np.array_equal(resolved, expected)
@@ -351,17 +361,16 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
         return draw_frame(rng, *args)
 
     monkeypatch.setattr(harness, "draw_frame", recording_draw_frame)
-    orig, recv, codes, users = _sample_chunk(spec)
+    orig, recv, codes = _sample_chunk(spec)
     assert overflowed, "no frame outran the spare"
     assert len(set(overflowed)) == len(overflowed)
     assert all(frame_lo <= f < frame_lo + B for f in overflowed)
-    assert np.array_equal(users, np.repeat(np.arange(B * m), recv.ravel()))
 
     indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
+    _check_block_local(codes, indptr, n, m, B)
     cfg = FrameConfig(m=m, n=n, dist=dist, channel=ChannelModel(eps))
     for row in range(B):
         graph = sample_frame(cfg, frame_generator(spec.seed, spec.point_index, frame_lo + row))
         assert _slot_sets(codes, indptr, n, m, row) == [u.slots for u in graph.users]
-        assert (codes[indptr[row * m] : indptr[(row + 1) * m]] // n == row).all()
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
         assert recv[row].tolist() == [u.received_degree for u in graph.users]

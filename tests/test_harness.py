@@ -15,6 +15,7 @@ from csa_floor.harness import (
     PlanError,
     SweepPlan,
     _ChunkSpec,
+    _FrameStreams,
     _classify_residuals,
     _peel_chunk,
     _sample_chunk,
@@ -106,6 +107,16 @@ class TestPlanValidation:
         plan = SweepPlan(dist=parse_distribution("3:1.0"), n=262143, epsilon=0.0, loads=(2.0,), frames=4096)
         assert plan.n == 262143
 
+    def test_block_too_large_for_int32_slot_codes_rejected(self):
+        # 512-frame blocks of 2**22 slots: slot codes up to 2**31 - 1 and past
+        with pytest.raises(PlanError, match="slot codes"):
+            SweepPlan(dist=parse_distribution("3:1.0"), n=2**22, epsilon=0.0, loads=(0.1,), frames=4096)
+
+    @pytest.mark.parametrize("n, frames", [(2**22 - 1, 4096), (2**22, BLOCK_FRAMES // 2)])
+    def test_largest_block_for_int32_slot_codes_admitted(self, n, frames):
+        plan = SweepPlan(dist=parse_distribution("3:1.0"), n=n, epsilon=0.0, loads=(0.1,), frames=frames)
+        assert plan.n == n
+
     def test_round_half_up(self):
         assert round_half_up(22.5) == 23
         assert round_half_up(89.9999) == 90
@@ -121,6 +132,16 @@ class TestFrameGenerator:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    @pytest.mark.parametrize("frame", [2**40 + 3, 2**63 + 5, 2**64 - 1])
+    def test_repositioned_stream_matches_frame_generator(self, frame):
+        # a fill of another frame leaves the Philox buffer and counter moved
+        streams = _FrameStreams(7, 2)
+        streams.fill(frame - 1, np.empty(1001))
+        got = streams.at(frame).random(9)
+        assert np.array_equal(got, frame_generator(7, 2, frame).random(9))
+        streams.at(5).integers(0, 2**31, 3, dtype=np.uint32)  # a pending half word
+        assert np.array_equal(streams.fill(frame, np.empty(9)), got)
 
     def test_seed_outside_64_bits_rejected(self):
         # seed 2**64 at point 0 would otherwise be seed 0 at point 1
@@ -354,8 +375,8 @@ def test_decode_working_memory_bounded_by_block(ref_dist):
     peel_extra, classify_extra = [], []
     for frames in (BLOCK_FRAMES, 4 * BLOCK_FRAMES):
         spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 5, 0, 0, frames, "induced")
-        orig, recv, codes, users = _sample_chunk(spec)
-        extra, (resolved, indptr) = _extra_traced_bytes(_peel_chunk, frames, m, n, codes, users, recv)
+        orig, recv, codes = _sample_chunk(spec)
+        extra, (resolved, indptr) = _extra_traced_bytes(_peel_chunk, frames, m, n, codes, recv)
         peel_extra.append(extra)
         extra, _ = _extra_traced_bytes(
             _classify_residuals, frames, m, n, codes, recv, indptr, resolved.reshape(-1)
@@ -363,3 +384,16 @@ def test_decode_working_memory_bounded_by_block(ref_dist):
         classify_extra.append(extra)
     assert peel_extra[1] < 2 * peel_extra[0], peel_extra
     assert classify_extra[1] < 2 * classify_extra[0], classify_extra
+
+
+def test_chunk_arrays_hold_four_bytes_per_edge_and_per_user(ref_dist):
+    """What spans a chunk: one int32 slot code per edge and the two int16
+    degree matrices, whatever the block count."""
+    n = 200
+    m = round_half_up(0.9 * n)
+    frames = 2 * BLOCK_FRAMES + 7
+    spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 5, 0, 0, frames, "induced")
+    out = _sample_chunk(spec)
+    edges = int(out[1].sum())
+    assert out[2].size == edges
+    assert sum(a.nbytes for a in out) <= 4 * edges + 4 * frames * m
