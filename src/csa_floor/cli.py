@@ -17,7 +17,15 @@ from .decoder import DegreeKeying
 from .density_evolution import threshold
 from .distributions import ChannelModel, format_distribution, induce, parse_distribution
 from .frame_model import round_half_up
-from .harness import CSV_HEADER, SweepPlan, csv_line, csv_lines, dump_json, run_sweep
+from .harness import (
+    CSV_HEADER,
+    SweepPlan,
+    csv_line,
+    csv_lines,
+    dump_json,
+    run_sweep,
+    write_csv_lines,
+)
 from .optimizer import ObjectiveSpec, optimize
 from .predictor import analytic_report
 from .stopping_sets import CATALOG_BY_ID, beta
@@ -142,8 +150,7 @@ def _cmd_predict(args) -> int:
             per = rep.per_degree if keying is DegreeKeying.INDUCED else rep.user_perspective
             for degree, value in [*enumerate(per), ("avg", rep.average)]:
                 lines.append(csv_line(g, m, args.n, 0, degree, "", "", value, keying.value))
-        with open(args.out_csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv_lines(lines, args.out_csv)
     return 0
 
 

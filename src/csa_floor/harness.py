@@ -9,21 +9,26 @@ Frames are processed in fixed-size chunks, and every chunk kernel works
 through a chunk in blocks of ``BLOCK_FRAMES`` frames. Sampling repositions
 the Philox counter once per frame and pulls that frame's uniforms in one
 call; degrees, slots, duplicate-slot redraws and erasures are then computed
-across a block of frames at once, reading each frame's words in the order
+across a sub-block of frames at once, as many as fit ``SAMPLE_WORDS``
+uniforms, reading each frame's words in the order
 ``frame_model.draw_frame`` does, and the rare frame whose redraws outrun its
-buffer row is drawn by ``draw_frame`` itself. The block sampler reaches the
+buffer row is drawn by ``draw_frame`` itself. The sampler reaches the
 same frames by other arithmetic: a degree is a sum of compares against the
 distinct CDF values, and a repeated slot is found by comparing the slot
 columns pairwise on a column-major copy. A chunk's graph is one int32 per
 edge, in (frame, user, column) order: the block-local slot code
-``(frame - block_lo) * n + slot``; each edge's user follows from the
-received degrees.
+``(frame - block_lo) * n + slot``, which each sub-block writes straight
+into the chunk's one code array; each edge's user follows from the
+received degrees. So a chunk's memory is its codes, its int16 degree
+arrays (one when nothing is erased) and the working set of one sub-block
+(the sampler's) or one block (the peel's and the labeller's).
 
 A stopping set never leaves its frame, so decoding is block-local: each
 block is peeled and labelled on state sized to the block, straight from
-its slice of the codes. One packed int64 per slot holds its occupancy in
-the high bits and the sum of its users' block-local ids in the low 32,
-which name the user of any singleton slot. Each peeling
+its slice of the codes, which the block's received degrees delimit. One
+packed int64 per slot holds its occupancy in the high bits and the sum of
+its users' block-local ids in the low 32, which name the user of any
+singleton slot. Each peeling
 wave resolves the users of the current singleton slots and updates the
 packed counters of their edges in one scatter, in time proportional to the
 edges it removes. Residual components are labelled by min-label propagation
@@ -55,10 +60,14 @@ from .predictor import analytic_report
 from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_sets
 
 CHUNK_FRAMES = 4096
-# frames per block of every chunk kernel: bounds each kernel's working set
-# (the sampler's uniform buffer, the peel's slot state, the labeller's slot
-# labels); only the chunk's slot codes and per-user arrays span the chunk
+# frames per block of every chunk kernel: slot codes are local to a block,
+# and the block bounds the peel's slot state and the labeller's slot labels;
+# only the chunk's slot codes and per-user degree arrays span the chunk
 BLOCK_FRAMES = 512
+# uniforms per sampler sub-block (2 MB of float64): a block is sampled
+# SAMPLE_WORDS // row width frames at a time, so the sampler's buffers do not
+# grow with n
+SAMPLE_WORDS = 2**18
 # SweepPlan rejects plans whose largest degree needs more redraws per row
 MAX_ROW_REDRAWS = 64
 CSV_HEADER = "g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying"
@@ -308,10 +317,11 @@ def _degrees(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.minimum(deg, cdf.size - 1, out=deg)
 
 
-def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps, spare):
+def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps, spare, code_lo):
     """Frames frame_lo..frame_lo+B-1, each exactly ``frame_model.draw_frame``
-    on its stream, as (degrees (B, m), received degrees (B, m), picked): the
-    int32 slots of the surviving copies in (frame, user, column) order.
+    on its stream, as (degrees (B, m), received degrees (B, m), codes
+    (B, m, q), survive (B, m, q)): row f's codes are its slots plus
+    ``code_lo + f * n``, and ``survive`` marks the surviving copies.
 
     One buffer row per frame holds its first-draw uniforms (degrees, slots,
     erasures) then ``spare`` more; everything after the fill runs across
@@ -323,7 +333,7 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
     takes its slots from ``draw_frame`` itself.
     """
     q = cdf.size - 1
-    first = m * (1 + q) if eps == 0.0 else m * (1 + 2 * q)
+    first = _first_words(q, m, eps)
     width = first + spare
     x = np.empty((B, width))
     for row in range(B):
@@ -336,6 +346,7 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
     pos = np.full(B, first, dtype=np.int64)  # next unread word of each frame
     by_col = np.ascontiguousarray(slots.transpose(2, 0, 1))
     fr, us = np.nonzero(_has_repeat(by_col, deg))  # (frame, user) order
+    del by_col
     while fr.size:
         counts = np.bincount(fr, minlength=B)
         rank = np.arange(fr.size) - (np.cumsum(counts) - counts)[fr]
@@ -357,7 +368,26 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
         recv = np.zeros((B, m), dtype=np.int16)
         for j in range(q):
             recv += survive[..., j]
-    return deg, recv, np.compress(survive.reshape(-1), slots)
+    # every slot, inside a row's degree or past it, is below n
+    slots += np.arange(code_lo, code_lo + B * n, n, dtype=np.int32)[:, None, None]
+    return deg, recv, slots, survive
+
+
+def _first_words(q: int, m: int, eps: float) -> int:
+    """Uniforms of a frame's first draw: m degrees, m * q slots and, when
+    ``eps > 0``, m * q erasures."""
+    return m * (1 + q) if eps == 0.0 else m * (1 + 2 * q)
+
+
+def _edge_capacity(probs, eps: float, users: int) -> int:
+    """Codes to reserve for the received edges of ``users`` users: their
+    expected count plus six standard deviations and q + 1. A received
+    degree is binomial(l, 1 - eps) given the drawn degree l."""
+    keep = 1.0 - eps
+    mean = sum(p * l * keep for l, p in enumerate(probs))
+    square = sum(p * (l * keep * eps + (l * keep) ** 2) for l, p in enumerate(probs))
+    spread = math.sqrt(max(users * (square - mean * mean), 0.0))
+    return math.ceil(users * mean + 6.0 * spread) + len(probs)
 
 
 def _sample_chunk(spec: _ChunkSpec):
@@ -368,56 +398,85 @@ def _sample_chunk(spec: _ChunkSpec):
     block-local slot code ``(frame - block_lo) * n + slot`` of the block of
     ``BLOCK_FRAMES`` frames holding it, frames counted from the chunk's first.
     Each frame's users own consecutive edges, as many as their received
-    degrees. The blocks go through ``_sample_block``, which bounds the
-    uniform buffer, and add their frames' offsets to their picked slots in
-    place; the chunk's arrays hold 4 bytes per edge and 4 per user.
+    degrees. When ``eps == 0`` nothing is erased and ``recv`` is ``orig``.
+
+    Each block is sampled by ``_sample_block`` in sub-blocks of
+    ``SAMPLE_WORDS // row width`` frames (at least one), so its uniform
+    buffer and slot arrays stay near ``SAMPLE_WORDS`` words at any n. Each
+    sub-block compresses its surviving codes straight into the chunk's one
+    code array, reserved by ``_edge_capacity``, grown in place on the rare
+    overflow and shrunk in place to the edge count at the end.
     """
     n, m, eps = spec.n, spec.m, spec.epsilon
     B = spec.frame_hi - spec.frame_lo
+    q = len(spec.probs) - 1
     cdf = np.cumsum(spec.probs)
     spare = _spare_words(spec.probs, n, m)
+    step = max(1, SAMPLE_WORDS // max(1, _first_words(q, m, eps) + spare))  # m may be 0
     streams = _FrameStreams(spec.seed, spec.point_index)
 
     orig = np.empty((B, m), dtype=np.int16)
-    recv = np.empty((B, m), dtype=np.int16)
-    picked = []
+    recv = orig if eps == 0.0 else np.empty((B, m), dtype=np.int16)
+    codes = np.empty(_edge_capacity(spec.probs, eps, B * m), dtype=np.int32)
+    end = 0
     for lo, hi in _blocks(B):
-        orig[lo:hi], recv[lo:hi], slots = _sample_block(
-            streams, spec.frame_lo + lo, hi - lo, cdf, n, m, eps, spare
-        )
-        offsets = np.arange(0, (hi - lo) * n, n, dtype=np.int32)
-        slots += np.repeat(offsets, recv[lo:hi].sum(axis=1))
-        picked.append(slots)
-    return orig, recv, np.concatenate(picked)
+        for s in range(lo, hi, step):
+            e = min(s + step, hi)
+            deg, rcv, slots, survive = _sample_block(
+                streams, spec.frame_lo + s, e - s, cdf, n, m, eps, spare, (s - lo) * n
+            )
+            orig[s:e] = deg
+            if recv is not orig:
+                recv[s:e] = rcv
+            k = int(rcv.sum())
+            if end + k > codes.size:
+                # no view of codes outlives the compress below, so it may move
+                codes.resize(end + k + _edge_capacity(spec.probs, eps, (B - e) * m), refcheck=False)
+            np.compress(survive.reshape(-1), slots.reshape(-1), out=codes[end : end + k])
+            end += k
+    codes.resize(end, refcheck=False)
+    return orig, recv, codes
+
+
+def _block_indptr(degrees) -> np.ndarray:
+    """Each user's first edge among consecutive users' edges, counted from
+    the first user's, then their edge count: the int64 cumulative sums of
+    ``degrees``, the received degrees of a block or of some of its users."""
+    bptr = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees.reshape(-1), out=bptr[1:])
+    return bptr
 
 
 def _peel_chunk(B, m, n, codes, recv):
-    """Peeling of a chunk, block by block; returns (resolved (B, m), indptr).
+    """Peeling of a chunk, block by block; returns (resolved (B, m),
+    block_edges), where the edges of the i-th block of ``_blocks(B)`` are
+    ``codes[block_edges[i] : block_edges[i + 1]]``.
 
     ``codes`` are ``_sample_chunk``'s block-local slot codes. The edges of
-    frames [lo, hi) are the contiguous range ``indptr[lo*m] : indptr[hi*m]``,
-    peeled on a ``state`` of ``(hi - lo) * n`` slots, each packing its
-    counters into one int64: every edge in the slot adds
+    frames [lo, hi) are peeled on a ``state`` of ``(hi - lo) * n`` slots,
+    each packing its counters into one int64: every edge in the slot adds
     ``(1 << 32) + block-local user id``, so ``state >> 32`` is the slot's
     occupancy and, in a singleton slot, the low 32 bits are its user's
     block-local id. A slot with two or more edges keeps ``state >= 2 << 32``
     whatever its id sum, so the singleton test is exact for block-local ids
-    below 2**32; they are below ``BLOCK_FRAMES * m``. Once its state is
-    built, a block's working set is 8 bytes per block edge and per slot.
+    below 2**32; they are below ``BLOCK_FRAMES * m``. Each user's edges are
+    read off the block's ``_block_indptr``, so once its state is built, a
+    block's working set is 8 bytes per block edge, per slot and per user.
     Each wave resolves the users of the current singleton slots, removes
     their edges with one ``np.subtract.at`` of each user's addend repeated
     over its edges, and takes the removed slots that became singletons as
     the next frontier, so a wave costs O(edges it removes) and peeling costs
     O(edges) in all.
     """
-    indptr = np.zeros(B * m + 1, dtype=np.int64)
-    np.cumsum(recv.reshape(-1), out=indptr[1:])
+    blocks = _blocks(B)
+    block_edges = np.zeros(len(blocks) + 1, dtype=np.int64)
     resolved = np.zeros(B * m, dtype=bool)
-    for lo, hi in _blocks(B):
-        e0, e1 = indptr[lo * m], indptr[hi * m]
+    for i, (lo, hi) in enumerate(blocks):
+        bptr = _block_indptr(recv[lo:hi])
+        e0 = block_edges[i]
+        block_edges[i + 1] = e0 + bptr[-1]
         # intp indices: numpy's fancy indexing converts int32 ones per call
-        bcodes = codes[e0:e1].astype(np.intp)
-        bptr = indptr[lo * m : hi * m + 1] - e0
+        bcodes = codes[e0 : block_edges[i + 1]].astype(np.intp)
         addend = np.repeat(np.arange(_EDGE, _EDGE + (hi - lo) * m), recv[lo:hi].reshape(-1))
         state = np.zeros((hi - lo) * n, dtype=np.int64)
         np.add.at(state, bcodes, addend)
@@ -443,7 +502,7 @@ def _peel_chunk(B, m, n, codes, recv):
             removed = bcodes[idx]
             np.subtract.at(state, removed, np.repeat(gid + _EDGE, counts))
             frontier = removed[state[removed] >> 32 == 1]
-    return resolved.reshape(B, m), indptr
+    return resolved.reshape(B, m), block_edges
 
 
 def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, int]:
@@ -474,12 +533,15 @@ def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, i
         labels = new
 
 
-def _classify_residuals(B, m, n, codes, recv, indptr, resolved_flat) -> Counter:
+def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat) -> Counter:
     """Histogram of residual component classes for a decoded chunk.
 
     A component lies in one frame, so each block is labelled on its own
-    slots, its residual edges' block-local codes. A small component's slot
-    sets are read from ``codes`` too; they are its slot sets shifted by
+    slots: the block-local codes of its residual edges, picked from
+    ``codes[block_edges[i] : block_edges[i + 1]]`` for the i-th block as
+    ``_peel_chunk`` returns them. A small component's slot sets are read
+    from those residual codes, through the ``_block_indptr`` of its
+    residual users' degrees; they are its slot sets shifted by
     ``(frame - block_lo) * n``, which ``classify_slot_sets`` does not see.
     """
     hist: Counter = Counter()
@@ -489,7 +551,7 @@ def _classify_residuals(B, m, n, codes, recv, indptr, resolved_flat) -> Counter:
     if degree0:
         hist[DEGREE0_LABEL] += degree0
 
-    for lo, hi in _blocks(B):
+    for (lo, hi), e0, e1 in zip(_blocks(B), block_edges[:-1], block_edges[1:]):
         u0, u1 = lo * m, hi * m
         block_recv, block_unres = recv_flat[u0:u1], unresolved[u0:u1]
         # unresolved users with edges, by block-local id; edges are ordered
@@ -498,7 +560,7 @@ def _classify_residuals(B, m, n, codes, recv, indptr, resolved_flat) -> Counter:
         users = np.flatnonzero(block_unres & (block_recv > 0))
         if not users.size:
             continue
-        rcode = codes[indptr[u0] : indptr[u1]][np.repeat(block_unres, block_recv)]
+        rcode = codes[e0:e1][np.repeat(block_unres, block_recv)]
         rcode = rcode.astype(np.intp)  # numpy converts int32 indices per call
         u_inv = np.repeat(np.arange(users.size), block_recv[users])
         labels, _ = _component_labels(rcode, u_inv, users.size, (hi - lo) * n)
@@ -509,13 +571,14 @@ def _classify_residuals(B, m, n, codes, recv, indptr, resolved_flat) -> Counter:
         small = np.flatnonzero(sizes[labels] <= _MAX_CLASS_SIZE)
         if small.size:
             small = small[np.argsort(labels[small], kind="stable")]
-            bounds = np.flatnonzero(np.diff(labels[small])) + 1
-            for ranks in np.split(small, bounds):
-                slot_sets = [
-                    frozenset(codes[indptr[g] : indptr[g + 1]].tolist())
-                    for g in (users[ranks] + u0).tolist()
-                ]
-                hist[classify_slot_sets(slot_sets)] += 1
+            rptr = _block_indptr(block_recv[users])
+            slot_sets = [
+                frozenset(rcode[a:b].tolist())
+                for a, b in zip(rptr[small].tolist(), rptr[small + 1].tolist())
+            ]
+            bounds = [0, *(np.flatnonzero(np.diff(labels[small])) + 1).tolist(), small.size]
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                hist[classify_slot_sets(slot_sets[a:b])] += 1
     return hist
 
 
@@ -524,14 +587,14 @@ def _run_chunk(spec: _ChunkSpec):
     q = len(spec.probs) - 1
     B = spec.frame_hi - spec.frame_lo
     orig, recv, codes = _sample_chunk(spec)
-    resolved, indptr = _peel_chunk(B, spec.m, spec.n, codes, recv)
+    resolved, block_edges = _peel_chunk(B, spec.m, spec.n, codes, recv)
     resolved_flat = resolved.reshape(-1)
 
     keyed = recv if spec.keying == DegreeKeying.INDUCED.value else orig
     keyed_flat = keyed.reshape(-1)
     totals = np.bincount(keyed_flat, minlength=q + 1)
     unresolved = np.bincount(keyed_flat[~resolved_flat], minlength=q + 1)
-    hist = _classify_residuals(B, spec.m, spec.n, codes, recv, indptr, resolved_flat)
+    hist = _classify_residuals(B, spec.m, spec.n, codes, recv, block_edges, resolved_flat)
     return spec.point_index, totals, unresolved, hist
 
 
@@ -663,8 +726,13 @@ def csv_lines(rows: list[SweepRow]) -> list[str]:
 
 
 def write_csv(rows: list[SweepRow], path: str):
+    write_csv_lines(csv_lines(rows), path)
+
+
+def write_csv_lines(lines: list[str], path: str):
+    """The one CSV file writer: ``lines``, header first, each ending in a newline."""
     with open(path, "w") as fh:
-        fh.write("\n".join(csv_lines(rows)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def dump_json(payload, path: str | None = None) -> str:

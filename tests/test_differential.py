@@ -64,9 +64,9 @@ def _check_chunk_against_reference(spec, cfg):
     orig, recv, codes = _sample_chunk(spec)
     indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
     _check_block_local(codes, indptr, n, m, B)
-    resolved, peel_indptr = _peel_chunk(B, m, n, codes, recv)
-    assert np.array_equal(peel_indptr, indptr)
-    hist = _classify_residuals(B, m, n, codes, recv, indptr, resolved.reshape(-1))
+    resolved, block_edges = _peel_chunk(B, m, n, codes, recv)
+    _check_block_edges(block_edges, indptr, m, B)
+    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1))
 
     expected_hist = Counter()
     for row in range(B):
@@ -88,6 +88,13 @@ def _check_block_local(codes, indptr, n, m, B):
     for row in range(B):
         frame_codes = codes[indptr[row * m] : indptr[(row + 1) * m]]
         assert (frame_codes // n == row % BLOCK_FRAMES).all()
+
+
+def _check_block_edges(block_edges, indptr, m, B):
+    """The peel's ``block_edges`` are the cumulative received degrees at
+    every block boundary, the chunk's first and last frames included."""
+    bounds = [*range(0, B, BLOCK_FRAMES), B]
+    assert block_edges.tolist() == indptr[np.array(bounds) * m].tolist()
 
 
 def _slot_sets(codes, indptr, n, m, row):
@@ -256,11 +263,13 @@ def test_packed_slot_state_exact_past_32_bit_index_sums():
     codes = np.array([s for row in slots for s in row], dtype=np.int32)
     assert sum(range(1, m - 1)) > 2**32
 
-    resolved, indptr = _peel_chunk(1, m, n, codes, recv)
+    resolved, block_edges = _peel_chunk(1, m, n, codes, recv)
     expected = np.zeros((1, m), dtype=bool)
     expected[0, [0, m - 1]] = True
     assert np.array_equal(resolved, expected)
-    assert indptr[-1] == codes.size
+    _check_block_edges(block_edges, np.concatenate(([0], np.cumsum(recv))), m, 1)
+    hist = _classify_residuals(1, m, n, codes, recv, block_edges, resolved.reshape(-1))
+    assert hist == {"Other": 1}  # users 1..m-2, all joined through slots 0 and 1
 
 
 def _path(length):
@@ -368,9 +377,52 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
 
     indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
     _check_block_local(codes, indptr, n, m, B)
+    resolved, block_edges = _peel_chunk(B, m, n, codes, recv)
+    _check_block_edges(block_edges, indptr, m, B)
+    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1))
+
+    expected_hist = Counter()
     cfg = FrameConfig(m=m, n=n, dist=dist, channel=ChannelModel(eps))
     for row in range(B):
         graph = sample_frame(cfg, frame_generator(spec.seed, spec.point_index, frame_lo + row))
         assert _slot_sets(codes, indptr, n, m, row) == [u.slots for u in graph.users]
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
         assert recv[row].tolist() == [u.received_degree for u in graph.users]
+        outcome = peel(graph)
+        assert resolved[row].tolist() == list(outcome.resolved)
+        expected_hist.update(classify(c) for c in components(outcome.residual))
+    assert +hist == expected_hist
+
+
+def test_sub_blocks_and_code_growth_match_reference(ref_dist, monkeypatch):
+    """A sample budget of seven buffer rows and a few words splits each
+    block into sub-blocks of 7 frames and a last one of 1 or 3, and a
+    capacity of one code makes every sub-block grow the code array. With
+    eps > 0 and a chunk of three blocks, every frame must still be the
+    reference draw, peel and classification."""
+    n, eps, frames = 60, 0.1, 2 * BLOCK_FRAMES + 10
+    m = round_half_up(0.8 * n)
+    q = ref_dist.q
+    width = harness._first_words(q, m, eps) + harness._spare_words(ref_dist.probs, n, m)
+    monkeypatch.setattr(harness, "SAMPLE_WORDS", 7 * width + 5)
+
+    grown, sub_blocks = [], []
+    sample_block = harness._sample_block
+
+    def tiny_capacity(probs, eps, users):
+        grown.append(users)
+        return 1
+
+    def recording_sample_block(streams, frame_lo, B, *args):
+        sub_blocks.append(B)
+        return sample_block(streams, frame_lo, B, *args)
+
+    monkeypatch.setattr(harness, "_edge_capacity", tiny_capacity)
+    monkeypatch.setattr(harness, "_sample_block", recording_sample_block)
+    spec = _ChunkSpec(ref_dist.probs, n, m, eps, 11, 1, 3000, 3000 + frames, "original")
+    cfg = FrameConfig(m=m, n=n, dist=ref_dist, channel=ChannelModel(eps))
+    _check_chunk_against_reference(spec, cfg)
+    # 73 sub-blocks of 7 and one of 1 per full block, then one of 7 and one of 3
+    assert sorted(set(sub_blocks)) == [1, 3, 7] and sum(sub_blocks) == frames
+    assert len(sub_blocks) == 2 * 74 + 2
+    assert len(grown) == 1 + len(sub_blocks)  # the reservation, then every sub-block

@@ -12,6 +12,7 @@ from csa_floor.harness import (
     CSV_HEADER,
     HISTOGRAM_KEYS,
     BLOCK_FRAMES,
+    SAMPLE_WORDS,
     PlanError,
     SweepPlan,
     _ChunkSpec,
@@ -361,8 +362,9 @@ def _extra_traced_bytes(kernel, *args):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in out) if isinstance(out, tuple) else 0
-    return peak - entry - returned, out
+    # at eps = 0 the sampler returns one degree array as both orig and recv
+    distinct = {id(a): a for a in out}.values() if isinstance(out, tuple) else ()
+    return peak - entry - sum(a.nbytes for a in distinct), out
 
 
 def test_decode_working_memory_bounded_by_block(ref_dist):
@@ -376,10 +378,13 @@ def test_decode_working_memory_bounded_by_block(ref_dist):
     for frames in (BLOCK_FRAMES, 4 * BLOCK_FRAMES):
         spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 5, 0, 0, frames, "induced")
         orig, recv, codes = _sample_chunk(spec)
-        extra, (resolved, indptr) = _extra_traced_bytes(_peel_chunk, frames, m, n, codes, recv)
+        extra, (resolved, block_edges) = _extra_traced_bytes(_peel_chunk, frames, m, n, codes, recv)
         peel_extra.append(extra)
+        indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
+        bounds = np.arange(0, frames + 1, BLOCK_FRAMES)
+        assert block_edges.tolist() == indptr[bounds * m].tolist()
         extra, _ = _extra_traced_bytes(
-            _classify_residuals, frames, m, n, codes, recv, indptr, resolved.reshape(-1)
+            _classify_residuals, frames, m, n, codes, recv, block_edges, resolved.reshape(-1)
         )
         classify_extra.append(extra)
     assert peel_extra[1] < 2 * peel_extra[0], peel_extra
@@ -388,12 +393,32 @@ def test_decode_working_memory_bounded_by_block(ref_dist):
 
 def test_chunk_arrays_hold_four_bytes_per_edge_and_per_user(ref_dist):
     """What spans a chunk: one int32 slot code per edge and the two int16
-    degree matrices, whatever the block count."""
+    degree matrices, whatever the block count. Without erasures the received
+    degrees are the drawn ones, and one matrix serves as both."""
     n = 200
     m = round_half_up(0.9 * n)
     frames = 2 * BLOCK_FRAMES + 7
-    spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 5, 0, 0, frames, "induced")
-    out = _sample_chunk(spec)
-    edges = int(out[1].sum())
-    assert out[2].size == edges
-    assert sum(a.nbytes for a in out) <= 4 * edges + 4 * frames * m
+    for eps in (0.0, 0.03):
+        spec = _ChunkSpec(ref_dist.probs, n, m, eps, 5, 0, 0, frames, "induced")
+        out = _sample_chunk(spec)
+        edges = int(out[1].sum())
+        assert out[2].size == edges
+        assert (out[0] is out[1]) == (eps == 0.0)
+        distinct = {id(a): a for a in out}.values()
+        degree_bytes = 2 if eps == 0.0 else 4  # per user, one or two int16 matrices
+        assert sum(a.nbytes for a in distinct) <= 4 * edges + degree_bytes * frames * m
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_sampler_working_memory_bounded_by_sample_words(ref_dist, n):
+    """The sampler holds its chunk's arrays and, at a time, one sub-block of
+    about SAMPLE_WORDS uniforms and two int32 slot copies, each at most half
+    the uniforms' bytes. So its working memory stays under three times the
+    uniforms' bytes at any n and block count; a buffer of a whole block
+    needs 16.8 MB at n = 200 and 77 MB at n = 1000, and a final concatenate
+    holds the codes twice."""
+    m = round_half_up(0.9 * n)
+    for frames in (BLOCK_FRAMES, 4 * BLOCK_FRAMES):
+        spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 5, 0, 0, frames, "induced")
+        extra, _ = _extra_traced_bytes(_sample_chunk, spec)
+        assert extra < 3 * SAMPLE_WORDS * 8, (frames, extra)
