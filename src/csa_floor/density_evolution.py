@@ -124,28 +124,44 @@ def threshold(dist: DegreeDistribution) -> float:
     fixed grid of GRID_POINTS interior points, refined by golden section
     between the grid argmin's neighbours, or the p -> 0 limit 1 / (2 lambda_2)
     when smaller, which is where the infimum sits for degree-2-heavy laws.
+
+    The grid polynomial is evaluated by Horner's rule in place on one array,
+    the multiplies and adds of ``numpy.polynomial.polynomial.polyval`` in
+    its order, and the golden-section objective is evaluated inline. Both
+    reproduce the polyval-and-closure formulation bit for bit, and the tests
+    hold them to it.
     """
     _check_min_degree(dist)
     weights = [l * lam for l, lam in enumerate(dist.probs)][1:]  # coefficient of p^(l-1)
-    values = _GRID_NUMERATOR / np.polynomial.polynomial.polyval(_GRID, weights)
+    values = np.full(GRID_POINTS, weights[-1])
+    for w in reversed(weights[:-1]):
+        values *= _GRID
+        values += w
+    np.divide(_GRID_NUMERATOR, values, out=values)
     i = int(np.argmin(values))
-
-    def f(p: float) -> float:
-        return -math.log1p(-p) / _horner(weights, p)
 
     a = float(_GRID[i - 1]) if i > 0 else 0.0
     b = float(_GRID[i + 1]) if i + 1 < GRID_POINTS else 1.0
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc = -math.log1p(-c) / _horner(weights, c)
+    fd = -math.log1p(-d) / _horner(weights, d)
+    top_down = weights[::-1]
+    log1p = math.log1p
     while b - a > REFINE_WIDTH:
-        if fc < fd:
+        left = fc < fd
+        if left:
             b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+            x = c = b - _INV_PHI * (b - a)
         else:
             a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+            x = d = a + _INV_PHI * (b - a)
+        acc = 0.0
+        for w in top_down:
+            acc = acc * x + w
+        if left:
+            fc = -log1p(-x) / acc
+        else:
+            fd = -log1p(-x) / acc
     g_star = min(float(values[i]), fc, fd)
     if dist.probs[2] > 0.0:
         g_star = min(g_star, 0.5 / dist.probs[2])

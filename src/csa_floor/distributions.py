@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 SIMPLEX_TOL = 1e-9
 
@@ -121,23 +122,36 @@ def validate(raw) -> DegreeDistribution:
     return DegreeDistribution(tuple(float(p) for p in raw))
 
 
+@lru_cache(maxsize=64)
+def _thinning_coefficients(eps: float, q: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Row l holds (k, C(k,l) eps^(k-l) (1-eps)^l) for k = l..q."""
+    keep = 1.0 - eps
+    return tuple(
+        tuple((k, math.comb(k, l) * eps ** (k - l) * keep**l) for k in range(l, q + 1))
+        for l in range(q + 1)
+    )
+
+
 def induce(dist: DegreeDistribution, channel: ChannelModel) -> DegreeDistribution:
     """Distribution of surviving-copy counts after per-copy erasures.
 
     Entry l of the result is sum_{k=l..q} C(k,l) eps^(k-l) (1-eps)^l probs[k]:
     binomial thinning of each transmit degree. Same q as the input; entry 0
     equals the generating polynomial evaluated at eps.
+
+    The thinning coefficients are computed once per (eps, q). Each term is
+    the cached coefficient times probs[k], added in order of k, which are
+    the float operations of the term-by-term sum; the tests hold the two to
+    bitwise equality.
     """
-    eps = channel.epsilon
-    keep = 1.0 - eps
-    q = dist.q
+    probs = dist.probs
     out = []
-    for l in range(q + 1):
+    for row in _thinning_coefficients(channel.epsilon, dist.q):
         acc = 0.0
-        for k in range(l, q + 1):
-            if dist.probs[k] == 0.0:
+        for k, coef in row:
+            if probs[k] == 0.0:
                 continue
-            acc += math.comb(k, l) * eps ** (k - l) * keep**l * dist.probs[k]
+            acc += coef * probs[k]
         out.append(acc)
     return DegreeDistribution(tuple(out))
 

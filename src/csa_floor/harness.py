@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -633,6 +632,8 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     q = plan.dist.q
     specs = _chunk_specs(plan)
     if plan.workers > 1:
+        import multiprocessing  # only pools need it; it adds ~9 ms to every import
+
         with multiprocessing.get_context("fork").Pool(plan.workers) as pool:
             results = pool.map(_run_chunk, specs, chunksize=1)
     else:

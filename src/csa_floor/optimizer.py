@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +65,19 @@ class ObjectiveSpec:
             raise ValueError(f"frame length must be >= 4, got {self.n}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        if self.m < 1:
+            raise ValueError(
+                f"g_target {self.g_target} at n = {self.n} rounds to zero users"
+            )
+
+    @cached_property
+    def m(self) -> int:
+        """Users in a frame of the design point."""
+        return round_half_up(self.g_target * self.n)
+
+    @cached_property
+    def channel(self) -> ChannelModel:
+        return ChannelModel(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -88,10 +102,8 @@ def objective(dist: DegreeDistribution, spec: ObjectiveSpec) -> float:
         if p > 0.0 and l not in spec.support:
             raise ValueError(f"candidate puts mass on degree {l} outside support")
     g_star = threshold(dist)
-    channel = ChannelModel(spec.epsilon)
-    induced_dist = induce(dist, channel)
-    m = round_half_up(spec.g_target * spec.n)
-    p, _ = plr_per_degree(m, spec.n, induced_dist)
+    induced_dist = induce(dist, spec.channel)
+    p, _ = plr_per_degree(spec.m, spec.n, induced_dist)
     pbar = average_plr(p, induced_dist)
     if pbar <= 0.0:
         floor_term = spec.floor_log_cap

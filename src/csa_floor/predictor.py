@@ -6,6 +6,11 @@ restricted to the dominant structures); dividing by the expected number of
 degree-l users gives the per-degree loss rate. Degree-0 users are lost by
 definition, which lower-bounds the average loss rate by the induced
 degree-0 mass.
+
+The per-degree sums read the classes with degree-l members from a table
+built once from the catalog profiles; they add the same terms in the same
+catalog order as a scan of every profile, so every rate is bit-identical to
+it, and the tests hold them to it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,13 @@ FLAG_OUT_OF_VALIDITY = "out_of_validity"  # union bound left its trust region
 # Raw per-degree values above this are flagged: the catalog approximation is
 # an error-floor tool for low to moderate loads, not a waterfall predictor.
 VALIDITY_LIMIT = 0.5
+
+# Entry l lists (catalog index, user count) of the classes with degree-l
+# users, in catalog order.
+_CLASS_COUNTS_BY_DEGREE = tuple(
+    tuple((i, c.profile[l]) for i, c in enumerate(CATALOG) if l < len(c.profile) and c.profile[l])
+    for l in range(max(c.max_degree for c in CATALOG) + 1)
+)
 
 
 @dataclass(frozen=True)
@@ -77,9 +89,9 @@ def plr_per_degree(
             flags[l] = FLAG_NOT_APPLICABLE
             continue
         expected_unresolved = 0.0
-        for sclass, r in zip(CATALOG, rhos):
-            if l < len(sclass.profile) and sclass.profile[l]:
-                expected_unresolved += sclass.profile[l] * r
+        counts = _CLASS_COUNTS_BY_DEGREE[l] if l < len(_CLASS_COUNTS_BY_DEGREE) else ()
+        for i, count in counts:
+            expected_unresolved += count * rhos[i]
         raw = expected_unresolved / (m * lam)
         if raw > VALIDITY_LIMIT:
             flags[l] = FLAG_OUT_OF_VALIDITY

@@ -8,6 +8,12 @@ heavy on degrees 2 and 3. Each entry carries its abstract topology (users as
 sets of slot labels) and the closed-form placement probability ``beta(n)``;
 its profile (user counts by degree) is read off the topology.
 
+``rho`` is evaluated once per class per analytic report or optimizer step,
+so each class precomputes its size, ``float(s!)`` and its ``(degree, count,
+count!)`` terms, and caches ``beta`` per frame length. From these ``alpha``
+and ``rho`` reproduce ``C(m, s) * multinomial_pmf(...) * beta`` bit for bit,
+and the tests hold them to it.
+
 Classification matches a residual component against the catalog by degree
 profile first, then by exhaustive slot-relabeling (catalog structures use at
 most 4 slots, so at most 4! bijections are tried); anything else is "Other".
@@ -23,7 +29,7 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 from .distributions import DegreeDistribution
-from .frame_model import FrameGraph, SlotCountTooSmall, UserRecord, multinomial_pmf
+from .frame_model import FrameGraph, SlotCountTooSmall, UserRecord
 
 DEGREE0_LABEL = "Degree0"
 OTHER_LABEL = "Other"
@@ -47,17 +53,28 @@ class StoppingSetClass:
         degrees = [len(u) for u in self.topology]
         return tuple(degrees.count(l) for l in range(max(degrees) + 1))
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Number of users in the structure."""
         return sum(self.profile)
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return len(self.profile) - 1
 
-    def profile_padded(self, q: int) -> tuple[int, ...]:
-        return tuple(self.profile) + (0,) * (q + 1 - len(self.profile))
+    @cached_property
+    def _size_factorial(self) -> float:
+        return float(math.factorial(self.size))
+
+    @cached_property
+    def _pmf_terms(self) -> tuple[tuple[int, int, float], ...]:
+        """(degree, user count, float(count!)) of each degree the class uses."""
+        return tuple((l, c, float(math.factorial(c))) for l, c in enumerate(self.profile) if c)
+
+    @cached_property
+    def _beta_by_n(self) -> dict[int, float]:
+        """beta(self, n) of every n asked for so far."""
+        return {}
 
 
 def _users(*slot_groups: str) -> tuple[frozenset[str], ...]:
@@ -99,10 +116,16 @@ CATALOG_BY_ID: dict[str, StoppingSetClass] = {c.id: c for c in CATALOG}
 
 
 def beta(sclass: StoppingSetClass, n: int) -> float:
-    """Placement probability of the class in a frame with n slots."""
-    if n < 4:
-        raise SlotCountTooSmall(f"catalog beta formulas need n >= 4, got {n}")
-    return float(sclass.beta_fn(n))
+    """Placement probability of the class in a frame with n slots.
+
+    The formula is evaluated once per (class, n) and then read back.
+    """
+    value = sclass._beta_by_n.get(n)
+    if value is None:
+        if n < 4:
+            raise SlotCountTooSmall(f"catalog beta formulas need n >= 4, got {n}")
+        value = sclass._beta_by_n[n] = float(sclass.beta_fn(n))
+    return value
 
 
 def beta_exact(sclass: StoppingSetClass, n: int) -> Fraction:
@@ -117,15 +140,20 @@ def alpha(sclass: StoppingSetClass, m: int, induced: DegreeDistribution) -> floa
 
     Equals C(m, s) times the multinomial probability that s users drawn from
     the induced distribution realize the class profile, where s is the class
-    size.
+    size. The probability is s! * prod_l lambda_l^c_l / c_l! over the class's
+    per-degree counts c_l, multiplied in degree order as
+    ``frame_model.multinomial_pmf`` does, without its per-call validation.
     """
     s = sclass.size
     if m < s:
         raise TooFewUsers(f"class {sclass.id} needs {s} users, frame has {m}")
     if sclass.max_degree > induced.q:
         return 0.0
-    prof = sclass.profile_padded(induced.q)
-    return math.comb(m, s) * multinomial_pmf(prof, induced, s)
+    probs = induced.probs
+    pmf = sclass._size_factorial
+    for l, c, c_factorial in sclass._pmf_terms:
+        pmf *= probs[l] ** c / c_factorial
+    return math.comb(m, s) * pmf
 
 
 def rho(sclass: StoppingSetClass, m: int, n: int, induced: DegreeDistribution) -> float:

@@ -1,0 +1,120 @@
+"""Term-by-term formulations of the analytic kernels, kept as test references.
+
+Each function evaluates its formula the direct way: ``rho`` through
+``multinomial_pmf`` and the class's beta formula on every call,
+``plr_per_degree`` by scanning every class profile at every degree,
+``induce`` with the binomial coefficients and powers recomputed per term,
+and ``threshold`` with ``numpy.polynomial.polynomial.polyval`` on the grid
+and a golden-section objective function. The package's kernels precompute
+and reuse what these recompute, in the same float operations and order, and
+``test_analytic_kernels.py`` holds them to bitwise equality.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from csa_floor.density_evolution import (
+    _GRID,
+    _GRID_NUMERATOR,
+    _INV_PHI,
+    GRID_POINTS,
+    REFINE_WIDTH,
+    _check_min_degree,
+    _horner,
+)
+from csa_floor.distributions import ChannelModel, DegreeDistribution
+from csa_floor.frame_model import SlotCountTooSmall, multinomial_pmf
+from csa_floor.predictor import FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_OUT_OF_VALIDITY, VALIDITY_LIMIT
+from csa_floor.stopping_sets import CATALOG, StoppingSetClass, TooFewUsers
+
+
+def beta(sclass: StoppingSetClass, n: int) -> float:
+    if n < 4:
+        raise SlotCountTooSmall(f"catalog beta formulas need n >= 4, got {n}")
+    return float(sclass.beta_fn(n))
+
+
+def alpha(sclass: StoppingSetClass, m: int, induced: DegreeDistribution) -> float:
+    s = sclass.size
+    if m < s:
+        raise TooFewUsers(f"class {sclass.id} needs {s} users, frame has {m}")
+    if sclass.max_degree > induced.q:
+        return 0.0
+    prof = sclass.profile + (0,) * (induced.q + 1 - len(sclass.profile))
+    return math.comb(m, s) * multinomial_pmf(prof, induced, s)
+
+
+def rho(sclass: StoppingSetClass, m: int, n: int, induced: DegreeDistribution) -> float:
+    if m < sclass.size:
+        return 0.0
+    return alpha(sclass, m, induced) * beta(sclass, n)
+
+
+def plr_per_degree(m: int, n: int, induced_dist: DegreeDistribution):
+    if m < 1:
+        raise ValueError(f"need at least one user, got m = {m}")
+    q = induced_dist.q
+    rhos = [rho(sclass, m, n, induced_dist) for sclass in CATALOG]
+    p = [0.0] * (q + 1)
+    flags = [FLAG_OK] * (q + 1)
+    p[0] = 1.0
+    for l in range(1, q + 1):
+        lam = induced_dist.probs[l]
+        if lam == 0.0:
+            flags[l] = FLAG_NOT_APPLICABLE
+            continue
+        expected_unresolved = 0.0
+        for sclass, r in zip(CATALOG, rhos):
+            if l < len(sclass.profile) and sclass.profile[l]:
+                expected_unresolved += sclass.profile[l] * r
+        raw = expected_unresolved / (m * lam)
+        if raw > VALIDITY_LIMIT:
+            flags[l] = FLAG_OUT_OF_VALIDITY
+        p[l] = min(raw, 1.0)
+    return tuple(p), tuple(flags)
+
+
+def induce(dist: DegreeDistribution, channel: ChannelModel) -> DegreeDistribution:
+    eps = channel.epsilon
+    keep = 1.0 - eps
+    q = dist.q
+    out = []
+    for l in range(q + 1):
+        acc = 0.0
+        for k in range(l, q + 1):
+            if dist.probs[k] == 0.0:
+                continue
+            acc += math.comb(k, l) * eps ** (k - l) * keep**l * dist.probs[k]
+        out.append(acc)
+    return DegreeDistribution(tuple(out))
+
+
+def threshold(dist: DegreeDistribution) -> float:
+    _check_min_degree(dist)
+    weights = [l * lam for l, lam in enumerate(dist.probs)][1:]
+    values = _GRID_NUMERATOR / np.polynomial.polynomial.polyval(_GRID, weights)
+    i = int(np.argmin(values))
+
+    def f(p: float) -> float:
+        return -math.log1p(-p) / _horner(weights, p)
+
+    a = float(_GRID[i - 1]) if i > 0 else 0.0
+    b = float(_GRID[i + 1]) if i + 1 < GRID_POINTS else 1.0
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > REFINE_WIDTH:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    g_star = min(float(values[i]), fc, fd)
+    if dist.probs[2] > 0.0:
+        g_star = min(g_star, 0.5 / dist.probs[2])
+    return min(1.0, g_star)

@@ -216,25 +216,44 @@ _REF = ["--dist", "2:0.25,3:0.6,8:0.15"]
 # SHA-256 of the --out-json file each command writes
 _JSON_OUTPUTS = [
     (
+        "induce",
         ["induce", *_REF, "--eps", "0.03"],
         "a8dd61690f30543c23ab3934ecb49e46ab01d2ee8473d504b736c091f2d40c08",
     ),
     (
+        "predict",
         ["predict", *_REF, "--n", "50", "--eps", "0.03", "--g", "0.3,0.6"],
         "f8d69818b9328b19ca24018049c4a63316104ff170ab7418af9ee2b32d30e52c",
     ),
     (
+        "classify",
         ["classify", *_REF, "--n", "20", "--eps", "0.05", "--g", "0.6", "--frames", "300", "--seed", "3"],
         "637319d8e9a8fe68a641a26d9f42888754cf8858536eeef792f5c2c1e83b3754",
     ),
     (
+        "optimize",
         ["optimize", "--support", "3,8", "--budget", "5", "--seed", "2"],
         "f2c3442b2b8824343f1abf21c94bd39ff7babeb0751c432f2668d2dce4e121b1",
+    ),
+    # the 0.5 / lambda_2 threshold limit, eps > 0 and the refinement phase
+    (
+        "optimize-degree2-eps",
+        ["optimize", "--support", "2,3,8", "--eps", "0.03", "--budget", "60", "--seed", "5"],
+        "94b1e656a7026709b071cbd2b80e5976746e3eb11a8a6b9a8c4d5943458a65ae",
+    ),
+    # m = 2 users: the classes of 3 and 4 users have rho 0
+    (
+        "optimize-two-users",
+        ["optimize", "--support", "3,4", "--n", "7", "--g-target", "0.3", "--eps", "0.2"]
+        + ["--budget", "20", "--seed", "1"],
+        "373b253cf28bc04e4fc648d07764bfebf767a3be6105ce3cd3d980e64d662f11",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", _JSON_OUTPUTS, ids=[a[0] for a, _ in _JSON_OUTPUTS])
+@pytest.mark.parametrize(
+    "argv,digest", [case[1:] for case in _JSON_OUTPUTS], ids=[case[0] for case in _JSON_OUTPUTS]
+)
 def test_json_bytes_pinned(capsys, tmp_path, argv, digest):
     path = tmp_path / "out.json"
     assert main(argv + ["--out-json", str(path)]) == 0
@@ -284,6 +303,12 @@ class TestErrorPaths:
             )
             == 1
         )
+
+    def test_optimize_design_point_without_users_exits_1(self, capsys):
+        # round(0.1 * 4) = 0: refused before the search starts
+        argv = ["optimize", "--support", "3,8", "--g-target", "0.1", "--n", "4"]
+        assert main(argv) == 1
+        assert "g_target 0.1 at n = 4 rounds to zero users" in capsys.readouterr().err
 
     def test_negative_seed_exits_1(self, capsys):
         argv = ["simulate", "--dist", "2:1.0", "--n", "10", "--g", "0.5", "--frames", "10"]
