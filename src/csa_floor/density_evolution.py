@@ -126,17 +126,22 @@ def threshold(dist: DegreeDistribution) -> float:
     when smaller, which is where the infimum sits for degree-2-heavy laws.
 
     The grid polynomial is evaluated by Horner's rule in place on one array,
-    the multiplies and adds of ``numpy.polynomial.polynomial.polyval`` in
-    its order, and the golden-section objective is evaluated inline. Both
-    reproduce the polyval-and-closure formulation bit for bit, and the tests
-    hold them to it.
+    and the golden-section objective inline. Both Horner loops start from the
+    top coefficient, multiply at every lower degree and add only the nonzero
+    coefficients. A valid law has no negative coefficient, so adding a zero
+    changes no partial sum except a -0.0 above the top nonzero one into
+    +0.0, and that nonzero add absorbs either sign. Both therefore reproduce
+    the formulation with ``numpy.polynomial.polynomial.polyval`` and a
+    golden-section closure bit for bit, and the tests hold them to it.
     """
     _check_min_degree(dist)
     weights = [l * lam for l, lam in enumerate(dist.probs)][1:]  # coefficient of p^(l-1)
-    values = np.full(GRID_POINTS, weights[-1])
-    for w in reversed(weights[:-1]):
+    top, *lower = weights[::-1]  # lower[-1] = lambda_1 = 0: its step only multiplies
+    values = _GRID * top
+    for w in lower[:-1]:
+        if w:
+            values += w
         values *= _GRID
-        values += w
     np.divide(_GRID_NUMERATOR, values, out=values)
     i = int(np.argmin(values))
 
@@ -145,7 +150,6 @@ def threshold(dist: DegreeDistribution) -> float:
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc = -math.log1p(-c) / _horner(weights, c)
     fd = -math.log1p(-d) / _horner(weights, d)
-    top_down = weights[::-1]
     log1p = math.log1p
     while b - a > REFINE_WIDTH:
         left = fc < fd
@@ -155,9 +159,9 @@ def threshold(dist: DegreeDistribution) -> float:
         else:
             a, c, fc = c, d, fd
             x = d = a + _INV_PHI * (b - a)
-        acc = 0.0
-        for w in top_down:
-            acc = acc * x + w
+        acc = top
+        for w in lower:
+            acc = acc * x + w if w else acc * x
         if left:
             fc = -log1p(-x) / acc
         else:

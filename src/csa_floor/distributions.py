@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 SIMPLEX_TOL = 1e-9
+_IS_NON_NEGATIVE = (0.0).__le__  # x -> 0.0 <= x
 
 
 class DistributionError(ValueError):
@@ -57,23 +58,26 @@ class ChannelModel:
 class DegreeDistribution:
     """Probability vector over repetition degrees 0..q.
 
-    Instances are validated on construction: entries non-negative, length at
-    least 2 (q >= 1), and sum within SIMPLEX_TOL of 1. Inputs that fail are
-    rejected rather than renormalized, so config typos surface immediately.
+    Instances are validated on construction: entries non-negative numbers
+    (NaN is refused), length at least 2 (q >= 1), and sum within SIMPLEX_TOL
+    of 1. Inputs that fail are rejected rather than renormalized, so config
+    typos surface immediately.
     """
 
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
+        probs = tuple(map(float, self.probs))
         object.__setattr__(self, "probs", probs)
         if len(probs) < 2:
             raise EmptyVector(
                 f"need probabilities for degrees 0..q with q >= 1, got length {len(probs)}"
             )
-        for l, p in enumerate(probs):
+        if not all(map(_IS_NON_NEGATIVE, probs)):  # false for NaN too
+            l, p = next((l, p) for l, p in enumerate(probs) if not 0.0 <= p)
             if p < 0.0:
                 raise NegativeEntry(f"probs[{l}] = {p} is negative")
+            raise DistributionError(f"probs[{l}] = {p} is not a number")
         total = math.fsum(probs)
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise SumNotOne(f"probabilities sum to {total!r}, not 1")
@@ -123,12 +127,12 @@ def validate(raw) -> DegreeDistribution:
 
 
 @lru_cache(maxsize=64)
-def _thinning_coefficients(eps: float, q: int) -> tuple[tuple[tuple[int, float], ...], ...]:
-    """Row l holds (k, C(k,l) eps^(k-l) (1-eps)^l) for k = l..q."""
+def _thinning_columns(eps: float, q: int) -> tuple[tuple[float, ...], ...]:
+    """Column k holds C(k,l) eps^(k-l) (1-eps)^l for l = 0..k."""
     keep = 1.0 - eps
     return tuple(
-        tuple((k, math.comb(k, l) * eps ** (k - l) * keep**l) for k in range(l, q + 1))
-        for l in range(q + 1)
+        tuple(math.comb(k, l) * eps ** (k - l) * keep**l for l in range(k + 1))
+        for k in range(q + 1)
     )
 
 
@@ -139,20 +143,18 @@ def induce(dist: DegreeDistribution, channel: ChannelModel) -> DegreeDistributio
     binomial thinning of each transmit degree. Same q as the input; entry 0
     equals the generating polynomial evaluated at eps.
 
-    The thinning coefficients are computed once per (eps, q). Each term is
-    the cached coefficient times probs[k], added in order of k, which are
-    the float operations of the term-by-term sum; the tests hold the two to
-    bitwise equality.
+    The thinning coefficients are computed once per (eps, q). Only transmit
+    degrees with mass contribute: in order of k, each adds its cached
+    coefficient times probs[k] to entries 0..k. Every entry therefore sees
+    the float operations of the term-by-term sum that skips zero-mass
+    degrees, and the tests hold the two to bitwise equality.
     """
     probs = dist.probs
-    out = []
-    for row in _thinning_coefficients(channel.epsilon, dist.q):
-        acc = 0.0
-        for k, coef in row:
-            if probs[k] == 0.0:
-                continue
-            acc += coef * probs[k]
-        out.append(acc)
+    out = [0.0] * len(probs)
+    for p, column in zip(probs, _thinning_columns(channel.epsilon, len(probs) - 1)):
+        if p:
+            for l, coef in enumerate(column):
+                out[l] += coef * p
     return DegreeDistribution(tuple(out))
 
 

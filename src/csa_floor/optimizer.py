@@ -55,8 +55,12 @@ class ObjectiveSpec:
             raise ValueError(
                 f"support degrees must be >= 2 (density evolution), got {support}"
             )
-        if self.w_threshold < 0.0 or self.w_floor < 0.0:
-            raise ValueError("weights must be non-negative")
+        for name in ("w_threshold", "w_floor"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if not 0.0 < self.floor_log_cap < math.inf:
+            raise ValueError(f"floor_log_cap must be finite and positive, got {self.floor_log_cap}")
         if self.w_threshold + self.w_floor <= 0.0:
             raise ValueError("at least one weight must be positive")
         if not 0.0 < self.g_target <= 2.0:
@@ -88,9 +92,10 @@ class OptimizeResult:
 
 
 def _to_distribution(weights: Sequence[float], support: tuple[int, ...]) -> DegreeDistribution:
-    q = max(support)
-    probs = [0.0] * (q + 1)
+    """Normalise weights on the (sorted) support degrees into a law."""
+    weights = np.asarray(weights, dtype=float).tolist()
     total = math.fsum(weights)
+    probs = [0.0] * (support[-1] + 1)
     for deg, w in zip(support, weights):
         probs[deg] = w / total
     return DegreeDistribution(tuple(probs))
@@ -160,7 +165,7 @@ def optimize(
     for i in range(n_refine):
         frac = i / max(n_refine - 1, 1)
         conc = conc_lo * (conc_hi / conc_lo) ** frac
-        center = np.asarray([best.probs[d] for d in spec.support])
-        consider(rng.dirichlet(center * conc + 0.5))
+        probs = best.probs
+        consider(rng.dirichlet([probs[d] * conc + 0.5 for d in spec.support]))
 
     return OptimizeResult(best=best, best_score=best_score, trace=tuple(trace))

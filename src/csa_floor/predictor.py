@@ -16,6 +16,7 @@ it, and the tests hold them to it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .distributions import ChannelModel, DegreeDistribution, induce
@@ -78,19 +79,19 @@ def plr_per_degree(
     """
     if m < 1:
         raise ValueError(f"need at least one user, got m = {m}")
-    q = induced_dist.q
+    probs = induced_dist.probs
     rhos = [rho(sclass, m, n, induced_dist) for sclass in CATALOG]
-    p = [0.0] * (q + 1)
-    flags = [FLAG_OK] * (q + 1)
+    p = [0.0] * len(probs)
+    flags = [FLAG_OK] * len(probs)
     p[0] = 1.0
-    for l in range(1, q + 1):
-        lam = induced_dist.probs[l]
+    for l, lam in enumerate(probs[1:], 1):
         if lam == 0.0:
             flags[l] = FLAG_NOT_APPLICABLE
             continue
+        if l >= len(_CLASS_COUNTS_BY_DEGREE):
+            continue  # no class has degree-l users: p_l = 0 / (m lambda_l) = 0
         expected_unresolved = 0.0
-        counts = _CLASS_COUNTS_BY_DEGREE[l] if l < len(_CLASS_COUNTS_BY_DEGREE) else ()
-        for i, count in counts:
+        for i, count in _CLASS_COUNTS_BY_DEGREE[l]:
             expected_unresolved += count * rhos[i]
         raw = expected_unresolved / (m * lam)
         if raw > VALIDITY_LIMIT:
@@ -125,9 +126,7 @@ def plr_user_perspective(
 
 def average_plr(p: tuple[float, ...], induced_dist: DegreeDistribution) -> float:
     """Average loss rate: induced-mass-weighted sum of per-degree rates."""
-    return math.fsum(
-        lam * pl for lam, pl in zip(induced_dist.probs, p)
-    )
+    return math.fsum(map(operator.mul, induced_dist.probs, p))
 
 
 def floor_lower_bound(original: DegreeDistribution, channel: ChannelModel) -> float:

@@ -147,9 +147,9 @@ def alpha(sclass: StoppingSetClass, m: int, induced: DegreeDistribution) -> floa
     s = sclass.size
     if m < s:
         raise TooFewUsers(f"class {sclass.id} needs {s} users, frame has {m}")
-    if sclass.max_degree > induced.q:
-        return 0.0
     probs = induced.probs
+    if sclass.max_degree >= len(probs):
+        return 0.0
     pmf = sclass._size_factorial
     for l, c, c_factorial in sclass._pmf_terms:
         pmf *= probs[l] ** c / c_factorial

@@ -4,10 +4,12 @@ Each function evaluates its formula the direct way: ``rho`` through
 ``multinomial_pmf`` and the class's beta formula on every call,
 ``plr_per_degree`` by scanning every class profile at every degree,
 ``induce`` with the binomial coefficients and powers recomputed per term,
-and ``threshold`` with ``numpy.polynomial.polynomial.polyval`` on the grid
-and a golden-section objective function. The package's kernels precompute
-and reuse what these recompute, in the same float operations and order, and
-``test_analytic_kernels.py`` holds them to bitwise equality.
+``threshold`` with ``numpy.polynomial.polynomial.polyval`` on the grid
+and a golden-section objective function, ``average_plr`` over a generator
+of products, and ``to_distribution`` on the raw weights as given, numpy
+scalars included. The package's kernels precompute and reuse what these
+recompute and skip the adds of zero terms, with the same results in every
+bit, and ``test_analytic_kernels.py`` holds them to bitwise equality.
 """
 
 from __future__ import annotations
@@ -90,6 +92,19 @@ def induce(dist: DegreeDistribution, channel: ChannelModel) -> DegreeDistributio
             acc += math.comb(k, l) * eps ** (k - l) * keep**l * dist.probs[k]
         out.append(acc)
     return DegreeDistribution(tuple(out))
+
+
+def average_plr(p, induced_dist: DegreeDistribution) -> float:
+    return math.fsum(lam * pl for lam, pl in zip(induced_dist.probs, p))
+
+
+def to_distribution(weights, support: tuple[int, ...]) -> DegreeDistribution:
+    q = max(support)
+    probs = [0.0] * (q + 1)
+    total = math.fsum(weights)
+    for deg, w in zip(support, weights):
+        probs[deg] = w / total
+    return DegreeDistribution(tuple(probs))
 
 
 def threshold(dist: DegreeDistribution) -> float:

@@ -1,27 +1,36 @@
 """The analytic kernels against their term-by-term references, bit for bit.
 
 ``rho``, ``plr_per_degree``, ``induce`` and ``threshold`` reuse precomputed
-terms; ``analytic_reference`` recomputes every term on every call. Both must
-give the same floats, compared with ``==``. ``rho`` is also checked against
-exact rational arithmetic, and the call pattern that the benchmark's traced
-run counts is pinned here.
+terms and skip zero ones; ``analytic_reference`` recomputes every term on
+every call. Both must give the same floats, compared with ``==``, one call
+at a time and over every candidate of whole optimizer searches. ``rho`` is
+also checked against exact rational arithmetic, and the call pattern that
+the benchmark's traced run counts is pinned here.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csa_floor import optimizer, predictor
 from csa_floor.density_evolution import threshold
 from csa_floor.distributions import ChannelModel, DegreeDistribution, induce, parse_distribution
-from csa_floor.optimizer import ObjectiveSpec, objective
+from csa_floor.optimizer import ObjectiveSpec, objective, optimize
 from csa_floor.predictor import analytic_report, plr_per_degree
 from csa_floor.stopping_sets import CATALOG, beta_exact, rho
 from tests import analytic_reference as ref
 
 EXAMPLES = settings(max_examples=300)
+# Laws with runs of zero coefficients, and one whose top degree has no mass
+SPARSE_LAWS = (
+    parse_distribution("3:0.5,12:0.5"),
+    parse_distribution("2:0.5,12:0.5"),
+    parse_distribution("12:1.0"),
+    DegreeDistribution((0, 0, 0.5, 0.5, 0.0)),
+)
 # Exact rho below this may come from probability powers that underflow in floats.
 TINY = 1e-250
 
@@ -72,8 +81,21 @@ def test_rho_matches_exact_rationals(point):
         assert abs(Fraction(got) - exact) <= Fraction(1, 10**12) * exact, sclass.id
 
 
+def _sparse_examples(make):
+    """Decorate a test with one example per sparse law, built by make(law)."""
+
+    def decorate(test):
+        for law in SPARSE_LAWS:
+            test = example(*make(law))(test)
+        return test
+
+    return decorate
+
+
 @EXAMPLES
 @given(points())
+@_sparse_examples(lambda law: [(law, 100, 200, ChannelModel(0.0))])
+@_sparse_examples(lambda law: [(ref.induce(law, ChannelModel(0.1)), 100, 200, ChannelModel(0.1))])
 def test_plr_per_degree_matches_reference(point):
     induced, m, n, _ = point
     assert plr_per_degree(m, n, induced) == ref.plr_per_degree(m, n, induced)
@@ -81,6 +103,8 @@ def test_plr_per_degree_matches_reference(point):
 
 @EXAMPLES
 @given(laws(), st.sampled_from((0.0, 0.03)) | st.floats(0.0, 1.0))
+@_sparse_examples(lambda law: [law, 0.1])
+@_sparse_examples(lambda law: [law, 0.0])
 def test_induce_matches_reference(dist, eps):
     channel = ChannelModel(eps)
     assert induce(dist, channel).probs == ref.induce(dist, channel).probs
@@ -91,8 +115,29 @@ def test_induce_matches_reference(dist, eps):
 @example(parse_distribution("2:1.0"))
 @example(parse_distribution("2:0.25,3:0.6,8:0.15"))
 @example(parse_distribution("3:0.5,8:0.5"))
+@_sparse_examples(lambda law: [law])
 def test_threshold_matches_reference(dist):
     assert threshold(dist) == ref.threshold(dist)
+
+
+@pytest.mark.parametrize(
+    "support,eps", [((3, 8), 0.03), ((2, 3, 8), 0.0), ((3, 12), 0.1)], ids=["3-8", "2-3-8", "3-12"]
+)
+def test_optimize_trace_matches_reference_kernels(monkeypatch, support, eps):
+    # every candidate of a whole search, scored by the kernels and by their
+    # references, in the order the search makes them
+    spec = ObjectiveSpec(support=support, g_target=0.5, n=200, epsilon=eps)
+    got = optimize(spec, budget=250, rng=3)
+    monkeypatch.setattr(optimizer, "threshold", ref.threshold)
+    monkeypatch.setattr(optimizer, "induce", ref.induce)
+    monkeypatch.setattr(optimizer, "plr_per_degree", ref.plr_per_degree)
+    monkeypatch.setattr(predictor, "rho", ref.rho)
+    monkeypatch.setattr(optimizer, "average_plr", ref.average_plr)
+    monkeypatch.setattr(optimizer, "_to_distribution", ref.to_distribution)
+    want = optimize(spec, budget=250, rng=3)
+    assert got.trace == want.trace
+    assert got.best == want.best
+    assert got.best_score == want.best_score
 
 
 def _count_calls(monkeypatch, targets):

@@ -248,6 +248,12 @@ _JSON_OUTPUTS = [
         + ["--budget", "20", "--seed", "1"],
         "373b253cf28bc04e4fc648d07764bfebf767a3be6105ce3cd3d980e64d662f11",
     ),
+    # a sparse support: the threshold Horner loops skip ten of their eleven adds
+    (
+        "optimize-sparse-support",
+        ["optimize", "--support", "3,12", "--eps", "0.1", "--budget", "40", "--seed", "2"],
+        "d0f2cd9caeeba051eb160427a8745c3b37cee903fec6dceb4699b083cf065306",
+    ),
 ]
 
 
@@ -279,6 +285,28 @@ class TestErrorPaths:
     def test_bad_distribution_exits_1(self, capsys):
         assert main(["induce", "--dist", "2:0.5,3:0.4", "--eps", "0"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--n", "200", "--g", "0.5"],
+            ["threshold"],
+            ["simulate", "--n", "20", "--g", "0.5", "--frames", "10"],
+        ],
+        ids=["predict", "threshold", "simulate"],
+    )
+    def test_nan_probability_exits_1(self, capsys, argv):
+        assert main(argv + ["--dist", "2:nan,3:1.0"]) == 1
+        assert "error: probs[2] = nan is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--w-threshold", "nan"), ("--w-floor", "inf"), ("--w-floor", "-inf")]
+    )
+    def test_optimize_non_finite_weight_exits_1(self, capsys, flag, value):
+        argv = ["optimize", "--support", "3,8", f"{flag}={value}", "--budget", "20"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be finite and non-negative, got {value}" in err
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["threshold", "--dist", "2:1.0", "--bogus"]) == 1

@@ -65,6 +65,19 @@ class TestValidate:
         with pytest.raises(NegativeEntry):
             validate([-0.1, 1.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan])
+    def test_nan_entry_rejected_by_index(self, bad):
+        # both the sign test and the sum tolerance test are false for NaN
+        with pytest.raises(DistributionError, match=r"probs\[2\] = nan is not a number"):
+            validate([0.0, 0.0, bad, 1.0])
+
+    def test_nan_in_text_rejected(self):
+        with pytest.raises(DistributionError, match="nan"):
+            parse_distribution("2:nan,3:1.0")
+
+    def test_negative_zero_accepted(self):
+        assert validate([-0.0, 1.0]).probs == (-0.0, 1.0)
+
     def test_never_renormalizes(self):
         with pytest.raises(SumNotOne):
             validate([0.5, 0.5 + 1e-6])

@@ -28,6 +28,17 @@ class TestObjectiveSpec:
         with pytest.raises(ValueError):
             ObjectiveSpec(support=(2,), w_threshold=0.0, w_floor=0.0)
 
+    @pytest.mark.parametrize("name", ["w_threshold", "w_floor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative, got {value}"):
+            ObjectiveSpec(support=(3, 8), **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_floor_log_cap_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match=f"floor_log_cap must be finite and positive, got {value}"):
+            ObjectiveSpec(support=(3, 8), floor_log_cap=value)
+
     def test_support_sorted_and_deduped(self):
         assert ObjectiveSpec(support=(8, 3, 3)).support == (3, 8)
 

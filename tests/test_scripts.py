@@ -1,0 +1,40 @@
+"""Smoke tests of the experiment scripts the README documents, run as the
+README runs them: as child processes, on inputs small enough for about a
+second each."""
+
+from pathlib import Path
+
+from csa_floor.harness import CSV_HEADER
+from tests.test_cli import _run_child
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_optimize_distribution_script():
+    out = _run_child(str(SCRIPTS / "optimize_distribution.py"), "--budget", "20")
+    assert out.returncode == 0, out.stderr
+    lines = [line.strip() for line in out.stdout.splitlines() if line.strip()]
+    assert lines[0].startswith("evaluations: 20  best score: ")
+    assert [line.split(":", 1)[0] for line in lines[1:]] == [
+        "optimized",
+        "reference 3/8 design",
+        "low-floor classic",
+    ]
+    assert all("threshold=" in line and "analytic_floor@g=0.5: " in line for line in lines[1:])
+    assert "3:0.87,8:0.13" in lines[2] and "2:0.25,3:0.6,8:0.15" in lines[3]
+
+
+def test_plr_floor_study_script(tmp_path):
+    out = _run_child(
+        str(SCRIPTS / "plr_floor_study.py"),
+        *("--frames", "256", "--workers", "1", "--loads", "0.2:0.4:0.1", "--out-dir", str(tmp_path)),
+    )
+    assert out.returncode == 0, out.stderr
+    blocks = [block.splitlines() for block in out.stdout.strip().split("\n\n")]
+    assert len(blocks) == 2
+    for block, (eps, tag) in zip(blocks, (("0.0", "eps0"), ("0.03", "eps003"))):
+        assert block[0] == f"# eps = {eps}: wrote {tmp_path / f'plr_{tag}.csv'}"
+        assert block[1].split() == ["g", "plr_sim", "plr_analytic", "S5/frame"]
+        assert [row.split()[0] for row in block[2:]] == ["0.20", "0.30", "0.40"]
+        assert (tmp_path / f"plr_{tag}.csv").read_text().splitlines()[0] == CSV_HEADER
+        assert (tmp_path / f"plr_{tag}.json").is_file()
