@@ -16,13 +16,13 @@ from . import oracle as oracle_mod
 from .decoder import DegreeKeying
 from .density_evolution import threshold
 from .distributions import ChannelModel, format_distribution, induce, parse_distribution
-from .frame_model import round_half_up
 from .harness import (
     CSV_HEADER,
     SweepPlan,
     csv_line,
     csv_lines,
     dump_json,
+    load_users,
     run_sweep,
     write_csv_lines,
 )
@@ -138,7 +138,7 @@ def _cmd_predict(args) -> int:
     loads = parse_loads(args.g)
     reports = []
     for g in loads:
-        m = round_half_up(g * args.n)
+        m = load_users(g, args.n)
         reports.append((g, m, analytic_report(m, args.n, dist, channel)))
     for g, m, rep in reports:
         print(f"g={g:g} m={m} n={args.n} eps={args.eps:g} avg_plr={rep.average:.6g}")

@@ -5,23 +5,23 @@ Every frame owns an independent counter-based random stream derived from
 for any worker count: workers only change how deterministic per-frame
 contributions are batched, and all accumulation is integer arithmetic.
 
-Frames are processed in fixed-size chunks, and every chunk kernel works
-through a chunk in blocks of ``BLOCK_FRAMES`` frames. Sampling repositions
-the Philox counter once per frame and pulls that frame's uniforms in one
-call; degrees, slots, duplicate-slot redraws and erasures are then computed
-across a sub-block of frames at once, as many as fit ``SAMPLE_WORDS``
-uniforms, reading each frame's words in the order
+Frames are processed in fixed-size chunks, which the sample, peel and
+classify kernels walk in the same blocks of frames: as many as fit
+``SAMPLE_WORDS`` words, a frame counting as the wider of its sampler row and
+its n slots (``_block_frames``). Sampling repositions the Philox counter
+once per frame and pulls that frame's uniforms in one call;
+degrees, slots, duplicate-slot redraws and erasures are then computed
+across the block, reading each frame's words in the order
 ``frame_model.draw_frame`` does, and the rare frame whose redraws outrun its
 buffer row is drawn by ``draw_frame`` itself. The sampler reaches the
 same frames by other arithmetic: a degree is a sum of compares against the
 distinct CDF values, and a repeated slot is found by comparing the slot
 columns pairwise on a column-major copy. A chunk's graph is one int32 per
 edge, in (frame, user, column) order: the block-local slot code
-``(frame - block_lo) * n + slot``, which each sub-block writes straight
-into the chunk's one code array; each edge's user follows from the
-received degrees. So a chunk's memory is its codes, its int16 degree
-arrays (one when nothing is erased) and the working set of one sub-block
-(the sampler's) or one block (the peel's and the labeller's).
+``(frame - block_lo) * n + slot``, which each block writes straight into
+the chunk's one code array; each edge's user follows from the received
+degrees. So a chunk's memory is its codes, its int16 degree arrays (one
+when nothing is erased) and the working set of one block, bounded at any n.
 
 A stopping set never leaves its frame, so decoding is block-local: each
 block is peeled and labelled on state sized to the block, straight from
@@ -59,13 +59,9 @@ from .predictor import analytic_report
 from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_sets
 
 CHUNK_FRAMES = 4096
-# frames per block of every chunk kernel: slot codes are local to a block,
-# and the block bounds the peel's slot state and the labeller's slot labels;
-# only the chunk's slot codes and per-user degree arrays span the chunk
-BLOCK_FRAMES = 512
-# uniforms per sampler sub-block (2 MB of float64): a block is sampled
-# SAMPLE_WORDS // row width frames at a time, so the sampler's buffers do not
-# grow with n
+# words per block of every chunk kernel (2 MB of float64 uniforms): a block
+# holds SAMPLE_WORDS // max(row width, n) frames, so neither the sampler's
+# buffers nor the peel's and the labeller's slot state grow with n
 SAMPLE_WORDS = 2**18
 # SweepPlan rejects plans whose largest degree needs more redraws per row
 MAX_ROW_REDRAWS = 64
@@ -106,6 +102,17 @@ def confidence_interval(successes: int, trials: int) -> tuple[float, float]:
     return phat, half
 
 
+def load_users(g: float, n: int) -> int:
+    """Users at load g in frames of n slots, ``round_half_up(g * n)``;
+    PlanError unless g is in (0, 2] and they are at least one."""
+    if not 0.0 < g <= 2.0:
+        raise PlanError(f"loads must be in (0, 2], got {g}")
+    m = round_half_up(g * n)
+    if m < 1:
+        raise PlanError(f"load {g} at n = {n} rounds to zero users")
+    return m
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """One simulation campaign over a grid of channel loads."""
@@ -124,8 +131,9 @@ class SweepPlan:
     def __post_init__(self):
         if self.frames < 1:
             raise PlanError(f"frames must be >= 1, got {self.frames}")
-        if self.n < 1:
-            raise PlanError(f"n must be >= 1, got {self.n}")
+        # one frame's slots must fit int32 codes; _block_frames then fits blocks
+        if not 1 <= self.n < 2**31:
+            raise PlanError(f"n must be >= 1 and below 2**31 for int32 slot codes, got {self.n}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise PlanError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.workers < 1:
@@ -138,11 +146,7 @@ class SweepPlan:
             raise PlanError("need at least one load point")
         chunk = min(self.frames, CHUNK_FRAMES)
         for g in loads:
-            if not 0.0 < g <= 2.0:
-                raise PlanError(f"loads must be in (0, 2], got {g}")
-            m = round_half_up(g * self.n)
-            if m < 1:
-                raise PlanError(f"load {g} at n = {self.n} rounds to zero users")
+            m = load_users(g, self.n)
             # block-local user ids must fit the labeller's int32 labels and the
             # peel's 32 packed bits; per chunk, it also caps per-user arrays
             if chunk * m >= 2**31:
@@ -150,12 +154,6 @@ class SweepPlan:
                     f"load {g} at n = {self.n} puts {m} users in a frame, too "
                     f"many for chunks of {chunk} frames"
                 )
-        block = min(self.frames, BLOCK_FRAMES)
-        if block * self.n >= 2**31:
-            raise PlanError(
-                f"n = {self.n} gives {block}-frame blocks too many slots for "
-                f"int32 slot codes"
-            )
         l = self.dist.max_support_degree()
         if self.n < l:
             raise PlanError(f"n = {self.n} cannot host degree-{l} users")
@@ -273,10 +271,18 @@ def _row_redraws(l: int, n: int) -> float:
     return clash / (1.0 - clash) if clash < 1.0 else math.inf
 
 
-def _blocks(B: int) -> list[tuple[int, int]]:
-    """The frame ranges [lo, hi) of a chunk of B frames, BLOCK_FRAMES each
-    but the last."""
-    return [(lo, min(lo + BLOCK_FRAMES, B)) for lo in range(0, B, BLOCK_FRAMES)]
+def _block_frames(spec: _ChunkSpec) -> int:
+    """Frames per block of every chunk kernel: ``SAMPLE_WORDS`` words over
+    the wider of a frame's sampler row and its n slots, at least one, and
+    few enough that a block's slot codes fit int32."""
+    q = len(spec.probs) - 1
+    width = _first_words(q, spec.m, spec.epsilon) + _spare_words(spec.probs, spec.n, spec.m)
+    return min(max(1, SAMPLE_WORDS // max(width, spec.n)), (2**31 - 1) // spec.n)
+
+
+def _blocks(B: int, block: int) -> list[tuple[int, int]]:
+    """The frame ranges [lo, hi) of B frames, ``block`` each but the last."""
+    return [(lo, min(lo + block, B)) for lo in range(0, B, block)]
 
 
 def _spare_words(probs, n: int, m: int) -> int:
@@ -316,11 +322,11 @@ def _degrees(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.minimum(deg, cdf.size - 1, out=deg)
 
 
-def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps, spare, code_lo):
+def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps, spare):
     """Frames frame_lo..frame_lo+B-1, each exactly ``frame_model.draw_frame``
     on its stream, as (degrees (B, m), received degrees (B, m), codes
     (B, m, q), survive (B, m, q)): row f's codes are its slots plus
-    ``code_lo + f * n``, and ``survive`` marks the surviving copies.
+    ``f * n``, and ``survive`` marks the surviving copies.
 
     One buffer row per frame holds its first-draw uniforms (degrees, slots,
     erasures) then ``spare`` more; everything after the fill runs across
@@ -368,7 +374,7 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
         for j in range(q):
             recv += survive[..., j]
     # every slot, inside a row's degree or past it, is below n
-    slots += np.arange(code_lo, code_lo + B * n, n, dtype=np.int32)[:, None, None]
+    slots += np.arange(0, B * n, n, dtype=np.int32)[:, None, None]
     return deg, recv, slots, survive
 
 
@@ -394,45 +400,36 @@ def _sample_chunk(spec: _ChunkSpec):
 
     Returns (orig, recv, codes): drawn and surviving degree matrices of shape
     (B, m), then one int32 per edge in (frame, user, column) order, the
-    block-local slot code ``(frame - block_lo) * n + slot`` of the block of
-    ``BLOCK_FRAMES`` frames holding it, frames counted from the chunk's first.
-    Each frame's users own consecutive edges, as many as their received
-    degrees. When ``eps == 0`` nothing is erased and ``recv`` is ``orig``.
-
-    Each block is sampled by ``_sample_block`` in sub-blocks of
-    ``SAMPLE_WORDS // row width`` frames (at least one), so its uniform
-    buffer and slot arrays stay near ``SAMPLE_WORDS`` words at any n. Each
-    sub-block compresses its surviving codes straight into the chunk's one
-    code array, reserved by ``_edge_capacity``, grown in place on the rare
-    overflow and shrunk in place to the edge count at the end.
+    block-local slot code ``(frame - block_lo) * n + slot`` of the
+    ``_block_frames`` block holding it, frames counted from the chunk's
+    first. Each frame's users own consecutive edges, as many as their
+    received degrees. When ``eps == 0`` nothing is erased and ``recv`` is
+    ``orig``. Each block is one ``_sample_block`` call, which compresses its
+    surviving codes straight into the chunk's one code array, reserved by
+    ``_edge_capacity``, grown in place on the rare overflow and shrunk in
+    place to the edge count at the end.
     """
     n, m, eps = spec.n, spec.m, spec.epsilon
     B = spec.frame_hi - spec.frame_lo
-    q = len(spec.probs) - 1
     cdf = np.cumsum(spec.probs)
     spare = _spare_words(spec.probs, n, m)
-    step = max(1, SAMPLE_WORDS // max(1, _first_words(q, m, eps) + spare))  # m may be 0
     streams = _FrameStreams(spec.seed, spec.point_index)
 
     orig = np.empty((B, m), dtype=np.int16)
     recv = orig if eps == 0.0 else np.empty((B, m), dtype=np.int16)
     codes = np.empty(_edge_capacity(spec.probs, eps, B * m), dtype=np.int32)
     end = 0
-    for lo, hi in _blocks(B):
-        for s in range(lo, hi, step):
-            e = min(s + step, hi)
-            deg, rcv, slots, survive = _sample_block(
-                streams, spec.frame_lo + s, e - s, cdf, n, m, eps, spare, (s - lo) * n
-            )
-            orig[s:e] = deg
-            if recv is not orig:
-                recv[s:e] = rcv
-            k = int(rcv.sum())
-            if end + k > codes.size:
-                # no view of codes outlives the compress below, so it may move
-                codes.resize(end + k + _edge_capacity(spec.probs, eps, (B - e) * m), refcheck=False)
-            np.compress(survive.reshape(-1), slots.reshape(-1), out=codes[end : end + k])
-            end += k
+    for lo, hi in _blocks(B, _block_frames(spec)):
+        deg, rcv, slots, survive = _sample_block(streams, spec.frame_lo + lo, hi - lo, cdf, n, m, eps, spare)
+        orig[lo:hi] = deg
+        if recv is not orig:
+            recv[lo:hi] = rcv
+        k = int(rcv.sum())
+        if end + k > codes.size:
+            # no view of codes outlives the compress below, so it may move
+            codes.resize(end + k + _edge_capacity(spec.probs, eps, (B - hi) * m), refcheck=False)
+        np.compress(survive.reshape(-1), slots.reshape(-1), out=codes[end : end + k])
+        end += k
     codes.resize(end, refcheck=False)
     return orig, recv, codes
 
@@ -446,10 +443,10 @@ def _block_indptr(degrees) -> np.ndarray:
     return bptr
 
 
-def _peel_chunk(B, m, n, codes, recv):
+def _peel_chunk(B, m, n, codes, recv, block):
     """Peeling of a chunk, block by block; returns (resolved (B, m),
-    block_edges), where the edges of the i-th block of ``_blocks(B)`` are
-    ``codes[block_edges[i] : block_edges[i + 1]]``.
+    block_edges), where the edges of the i-th block of ``_blocks(B, block)``
+    are ``codes[block_edges[i] : block_edges[i + 1]]``.
 
     ``codes`` are ``_sample_chunk``'s block-local slot codes. The edges of
     frames [lo, hi) are peeled on a ``state`` of ``(hi - lo) * n`` slots,
@@ -458,7 +455,7 @@ def _peel_chunk(B, m, n, codes, recv):
     occupancy and, in a singleton slot, the low 32 bits are its user's
     block-local id. A slot with two or more edges keeps ``state >= 2 << 32``
     whatever its id sum, so the singleton test is exact for block-local ids
-    below 2**32; they are below ``BLOCK_FRAMES * m``. Each user's edges are
+    below 2**32; they are below ``block * m``. Each user's edges are
     read off the block's ``_block_indptr``, so once its state is built, a
     block's working set is 8 bytes per block edge, per slot and per user.
     Each wave resolves the users of the current singleton slots, removes
@@ -467,7 +464,7 @@ def _peel_chunk(B, m, n, codes, recv):
     the next frontier, so a wave costs O(edges it removes) and peeling costs
     O(edges) in all.
     """
-    blocks = _blocks(B)
+    blocks = _blocks(B, block)
     block_edges = np.zeros(len(blocks) + 1, dtype=np.int64)
     resolved = np.zeros(B * m, dtype=bool)
     for i, (lo, hi) in enumerate(blocks):
@@ -532,7 +529,7 @@ def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, i
         labels = new
 
 
-def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat) -> Counter:
+def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block) -> Counter:
     """Histogram of residual component classes for a decoded chunk.
 
     A component lies in one frame, so each block is labelled on its own
@@ -545,18 +542,15 @@ def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat) -> Cou
     """
     hist: Counter = Counter()
     recv_flat = recv.reshape(B * m)
-    unresolved = ~resolved_flat
-    degree0 = int(((recv_flat == 0) & unresolved).sum())
-    if degree0:
-        hist[DEGREE0_LABEL] += degree0
-
-    for (lo, hi), e0, e1 in zip(_blocks(B), block_edges[:-1], block_edges[1:]):
+    degree0 = 0
+    for (lo, hi), e0, e1 in zip(_blocks(B, block), block_edges[:-1], block_edges[1:]):
         u0, u1 = lo * m, hi * m
-        block_recv, block_unres = recv_flat[u0:u1], unresolved[u0:u1]
+        block_recv, block_unres = recv_flat[u0:u1], ~resolved_flat[u0:u1]
         # unresolved users with edges, by block-local id; edges are ordered
         # by (frame, user, column), so repeating each user's flag over its
         # edges selects the residual ones, grouped by user in id order
         users = np.flatnonzero(block_unres & (block_recv > 0))
+        degree0 += np.count_nonzero(block_unres) - users.size
         if not users.size:
             continue
         rcode = codes[e0:e1][np.repeat(block_unres, block_recv)]
@@ -578,6 +572,8 @@ def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat) -> Cou
             bounds = [0, *(np.flatnonzero(np.diff(labels[small])) + 1).tolist(), small.size]
             for a, b in zip(bounds[:-1], bounds[1:]):
                 hist[classify_slot_sets(slot_sets[a:b])] += 1
+    if degree0:
+        hist[DEGREE0_LABEL] += degree0
     return hist
 
 
@@ -585,15 +581,19 @@ def _run_chunk(spec: _ChunkSpec):
     """Worker entry point: returns (point_index, totals, unresolved, histogram)."""
     q = len(spec.probs) - 1
     B = spec.frame_hi - spec.frame_lo
+    block = _block_frames(spec)
     orig, recv, codes = _sample_chunk(spec)
-    resolved, block_edges = _peel_chunk(B, spec.m, spec.n, codes, recv)
+    resolved, block_edges = _peel_chunk(B, spec.m, spec.n, codes, recv, block)
     resolved_flat = resolved.reshape(-1)
 
     keyed = recv if spec.keying == DegreeKeying.INDUCED.value else orig
     keyed_flat = keyed.reshape(-1)
-    totals = np.bincount(keyed_flat, minlength=q + 1)
-    unresolved = np.bincount(keyed_flat[~resolved_flat], minlength=q + 1)
-    hist = _classify_residuals(B, spec.m, spec.n, codes, recv, block_edges, resolved_flat)
+    # counted one degree at a time: np.bincount casts int16 degrees to intp
+    totals, unresolved = (
+        np.array([np.count_nonzero(d == l) for l in range(q + 1)], dtype=np.int64)
+        for d in (keyed_flat, keyed_flat[~resolved_flat])
+    )
+    hist = _classify_residuals(B, spec.m, spec.n, codes, recv, block_edges, resolved_flat, block)
     return spec.point_index, totals, unresolved, hist
 
 

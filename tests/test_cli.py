@@ -355,9 +355,27 @@ class TestErrorPaths:
         assert "users in a frame" in capsys.readouterr().err
 
     def test_block_too_large_for_int32_slot_codes_exits_1(self, capsys):
-        argv = ["simulate", "--dist", "3:1.0", "--n", str(2**22), "--g", "0.1"]
+        # blocks shrink to one frame as n grows, and one frame of 2**31
+        # slots is past int32 slot codes
+        argv = ["simulate", "--dist", "3:1.0", "--n", str(2**31), "--g", "0.0001"]
         assert main(argv) == 1
         assert "slot codes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "load, message",
+        [
+            ("inf", "loads must be in (0, 2], got inf"),
+            ("nan", "loads must be in (0, 2], got nan"),
+            ("-0.5", "loads must be in (0, 2], got -0.5"),
+            ("0", "loads must be in (0, 2], got 0.0"),
+            ("3", "loads must be in (0, 2], got 3.0"),
+            ("0.001", "load 0.001 at n = 200 rounds to zero users"),
+        ],
+    )
+    def test_predict_bad_load_exits_1(self, capsys, load, message):
+        # checked as simulate checks them, before g * n is rounded
+        assert main(["predict", "--dist", "2:0.5,3:0.5", "--n", "200", f"--g={load}"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_unwritable_output_exits_2(self, capsys):
         code = main(

@@ -21,8 +21,8 @@ from csa_floor.decoder import peel
 from csa_floor.distributions import ChannelModel, DegreeDistribution
 from csa_floor.frame_model import FrameConfig, round_half_up, sample_frame
 from csa_floor.harness import (
-    BLOCK_FRAMES,
     _ChunkSpec,
+    _block_frames,
     _classify_residuals,
     _component_labels,
     _degrees,
@@ -61,18 +61,19 @@ def chunk_cases(draw):
 
 def _check_chunk_against_reference(spec, cfg):
     B, m, n = spec.frame_hi - spec.frame_lo, spec.m, spec.n
+    block = _block_frames(spec)
     orig, recv, codes = _sample_chunk(spec)
     indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
-    _check_block_local(codes, indptr, n, m, B)
-    resolved, block_edges = _peel_chunk(B, m, n, codes, recv)
-    _check_block_edges(block_edges, indptr, m, B)
-    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1))
+    _check_block_local(codes, indptr, n, m, B, block)
+    resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
+    _check_block_edges(block_edges, indptr, m, B, block)
+    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block)
 
     expected_hist = Counter()
     for row in range(B):
         rng = frame_generator(spec.seed, spec.point_index, spec.frame_lo + row)
         graph = sample_frame(cfg, rng)
-        assert _slot_sets(codes, indptr, n, m, row) == [u.slots for u in graph.users]
+        assert _slot_sets(codes, indptr, n, m, row, block) == [u.slots for u in graph.users]
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
         outcome = peel(graph)
         assert resolved[row].tolist() == list(outcome.resolved)
@@ -81,27 +82,27 @@ def _check_chunk_against_reference(spec, cfg):
     return hist, resolved
 
 
-def _check_block_local(codes, indptr, n, m, B):
+def _check_block_local(codes, indptr, n, m, B, block):
     """``codes`` are int32 and each frame's codes name its block-local
     frame: ``codes // n == frame - block_lo``."""
     assert codes.dtype == np.int32 and codes.size == indptr[-1]
     for row in range(B):
         frame_codes = codes[indptr[row * m] : indptr[(row + 1) * m]]
-        assert (frame_codes // n == row % BLOCK_FRAMES).all()
+        assert (frame_codes // n == row % block).all()
 
 
-def _check_block_edges(block_edges, indptr, m, B):
+def _check_block_edges(block_edges, indptr, m, B, block):
     """The peel's ``block_edges`` are the cumulative received degrees at
     every block boundary, the chunk's first and last frames included."""
-    bounds = [*range(0, B, BLOCK_FRAMES), B]
+    bounds = [*range(0, B, block), B]
     assert block_edges.tolist() == indptr[np.array(bounds) * m].tolist()
 
 
-def _slot_sets(codes, indptr, n, m, row):
+def _slot_sets(codes, indptr, n, m, row, block):
     """Each user's slots in frame ``row`` of a chunk, from the block-local
     codes."""
     return [
-        frozenset((codes[indptr[g] : indptr[g + 1]] - row % BLOCK_FRAMES * n).tolist())
+        frozenset((codes[indptr[g] : indptr[g + 1]] - row % block * n).tolist())
         for g in range(row * m, (row + 1) * m)
     ]
 
@@ -226,17 +227,19 @@ def test_large_residual_chunks_match_reference(ref_dist, g):
 
 
 def test_block_boundaries_match_reference(ref_dist):
-    """Three blocks, the last partial, past the threshold: every block keeps
-    residual components, which the peel and the labeller handle on
-    block-local state from block-local slot codes. Frames on both
+    """Seven blocks of 149 frames, the last partial, past the threshold:
+    every block keeps residual components, which the peel and the labeller
+    handle on block-local state from block-local slot codes. Frames on both
     sides of each block boundary must match the reference path."""
-    n, frames = 200, 2 * BLOCK_FRAMES + 7
+    n, frames = 200, 1031
     m = round_half_up(0.9 * n)
     spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 53, 2, 9000, 9000 + frames, "induced")
     cfg = FrameConfig(m=m, n=n, dist=ref_dist, channel=ChannelModel(0.0))
+    block = _block_frames(spec)
+    assert -(-frames // block) == 7
     hist, resolved = _check_chunk_against_reference(spec, cfg)
-    for lo in range(0, frames, BLOCK_FRAMES):
-        assert not resolved[lo : lo + BLOCK_FRAMES].all()
+    for lo in range(0, frames, block):
+        assert not resolved[lo : lo + block].all()
     assert sum(hist[c] for c in hist if c.startswith("S")) > 0
 
 
@@ -263,12 +266,12 @@ def test_packed_slot_state_exact_past_32_bit_index_sums():
     codes = np.array([s for row in slots for s in row], dtype=np.int32)
     assert sum(range(1, m - 1)) > 2**32
 
-    resolved, block_edges = _peel_chunk(1, m, n, codes, recv)
+    resolved, block_edges = _peel_chunk(1, m, n, codes, recv, 1)
     expected = np.zeros((1, m), dtype=bool)
     expected[0, [0, m - 1]] = True
     assert np.array_equal(resolved, expected)
-    _check_block_edges(block_edges, np.concatenate(([0], np.cumsum(recv))), m, 1)
-    hist = _classify_residuals(1, m, n, codes, recv, block_edges, resolved.reshape(-1))
+    _check_block_edges(block_edges, np.concatenate(([0], np.cumsum(recv))), m, 1, 1)
+    hist = _classify_residuals(1, m, n, codes, recv, block_edges, resolved.reshape(-1), 1)
     assert hist == {"Other": 1}  # users 1..m-2, all joined through slots 0 and 1
 
 
@@ -354,13 +357,17 @@ def test_long_chain_with_rising_ranks_settles_in_three_rounds(shape):
 def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
     """Every user degree 3 in 4 slots: most rows repeat a slot and many frames
     redraw past their buffer row's spare, which hands them to ``draw_frame``.
-    With eps > 0 and a chunk of three sampler blocks, every frame, on either
-    side of each block boundary and whichever path drew it, must be the
-    reference draw."""
+    With eps > 0 and a budget of 400 buffer rows, a chunk of three blocks,
+    every frame, on either side of each block boundary and whichever path
+    drew it, must be the reference draw."""
     dist = DegreeDistribution((0.0, 0.0, 0.0, 1.0))
     m, n, eps = 5, 4, 0.2
-    frame_lo, B = 1000, 2 * BLOCK_FRAMES + 7
+    frame_lo, B = 1000, 1031
+    width = harness._first_words(dist.q, m, eps) + harness._spare_words(dist.probs, n, m)
+    monkeypatch.setattr(harness, "SAMPLE_WORDS", 400 * width)
     spec = _ChunkSpec(dist.probs, n, m, eps, 2**64 - 3, 2, frame_lo, frame_lo + B, "original")
+    block = _block_frames(spec)
+    assert block == 400
 
     overflowed = []  # frames the sampler takes from the reference draw
     draw_frame = harness.draw_frame
@@ -376,16 +383,16 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
     assert all(frame_lo <= f < frame_lo + B for f in overflowed)
 
     indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
-    _check_block_local(codes, indptr, n, m, B)
-    resolved, block_edges = _peel_chunk(B, m, n, codes, recv)
-    _check_block_edges(block_edges, indptr, m, B)
-    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1))
+    _check_block_local(codes, indptr, n, m, B, block)
+    resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
+    _check_block_edges(block_edges, indptr, m, B, block)
+    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block)
 
     expected_hist = Counter()
     cfg = FrameConfig(m=m, n=n, dist=dist, channel=ChannelModel(eps))
     for row in range(B):
         graph = sample_frame(cfg, frame_generator(spec.seed, spec.point_index, frame_lo + row))
-        assert _slot_sets(codes, indptr, n, m, row) == [u.slots for u in graph.users]
+        assert _slot_sets(codes, indptr, n, m, row, block) == [u.slots for u in graph.users]
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
         assert recv[row].tolist() == [u.received_degree for u in graph.users]
         outcome = peel(graph)
@@ -395,18 +402,18 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
 
 
 def test_sub_blocks_and_code_growth_match_reference(ref_dist, monkeypatch):
-    """A sample budget of seven buffer rows and a few words splits each
-    block into sub-blocks of 7 frames and a last one of 1 or 3, and a
-    capacity of one code makes every sub-block grow the code array. With
-    eps > 0 and a chunk of three blocks, every frame must still be the
+    """A word budget of seven buffer rows and a few words splits the chunk
+    into blocks of 7 frames and a last one of 5, which the sampler, the peel
+    and the labeller all walk, and a capacity of one code makes every block
+    grow the code array. With eps > 0, every frame must still be the
     reference draw, peel and classification."""
-    n, eps, frames = 60, 0.1, 2 * BLOCK_FRAMES + 10
+    n, eps, frames = 60, 0.1, 1034
     m = round_half_up(0.8 * n)
     q = ref_dist.q
     width = harness._first_words(q, m, eps) + harness._spare_words(ref_dist.probs, n, m)
     monkeypatch.setattr(harness, "SAMPLE_WORDS", 7 * width + 5)
 
-    grown, sub_blocks = [], []
+    grown, blocks = [], []
     sample_block = harness._sample_block
 
     def tiny_capacity(probs, eps, users):
@@ -414,15 +421,47 @@ def test_sub_blocks_and_code_growth_match_reference(ref_dist, monkeypatch):
         return 1
 
     def recording_sample_block(streams, frame_lo, B, *args):
-        sub_blocks.append(B)
+        blocks.append(B)
         return sample_block(streams, frame_lo, B, *args)
 
     monkeypatch.setattr(harness, "_edge_capacity", tiny_capacity)
     monkeypatch.setattr(harness, "_sample_block", recording_sample_block)
     spec = _ChunkSpec(ref_dist.probs, n, m, eps, 11, 1, 3000, 3000 + frames, "original")
     cfg = FrameConfig(m=m, n=n, dist=ref_dist, channel=ChannelModel(eps))
+    assert _block_frames(spec) == 7
     _check_chunk_against_reference(spec, cfg)
-    # 73 sub-blocks of 7 and one of 1 per full block, then one of 7 and one of 3
-    assert sorted(set(sub_blocks)) == [1, 3, 7] and sum(sub_blocks) == frames
-    assert len(sub_blocks) == 2 * 74 + 2
-    assert len(grown) == 1 + len(sub_blocks)  # the reservation, then every sub-block
+    assert blocks == [7] * 147 + [5]
+    assert len(grown) == 1 + len(blocks)  # the reservation, then every block
+
+
+def _decoded_chunk(spec):
+    """A chunk's sample, peel and classify outputs at its ``_block_frames``,
+    with each edge's block-local code decoded to its (frame, slot) pair."""
+    B, m, n = spec.frame_hi - spec.frame_lo, spec.m, spec.n
+    block = _block_frames(spec)
+    orig, recv, codes = _sample_chunk(spec)
+    resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
+    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block)
+    edge_frame = np.repeat(np.arange(B), recv.sum(axis=1))
+    frame = edge_frame // block * block + codes // n
+    assert np.array_equal(frame, edge_frame)
+    return block, orig, recv, frame, codes % n, resolved, hist
+
+
+@pytest.mark.parametrize("g, eps", [(0.5, 0.03), (0.9, 0.0)])
+def test_block_partition_leaves_chunk_outputs_unchanged(ref_dist, monkeypatch, g, eps):
+    """Slot codes never cross a frame, so the block size changes no output:
+    one chunk at its own blocks and at blocks of 13 frames must give the same
+    degrees, edges (as frame and slot), resolved users and histogram."""
+    n, frames = 200, 600
+    m = round_half_up(g * n)
+    spec = _ChunkSpec(ref_dist.probs, n, m, eps, 97, 1, 4000, 4000 + frames, "original")
+    wide = _decoded_chunk(spec)
+    width = harness._first_words(ref_dist.q, m, eps) + harness._spare_words(ref_dist.probs, n, m)
+    monkeypatch.setattr(harness, "SAMPLE_WORDS", 13 * width)
+    narrow = _decoded_chunk(spec)
+    assert narrow[0] == 13 < wide[0]
+    assert frames % wide[0] and frames % 13  # both partitions end on a partial block
+    for a, b in zip(wide[1:-1], narrow[1:-1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert wide[-1] == narrow[-1]

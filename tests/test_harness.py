@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
+from csa_floor import harness
 from csa_floor.decoder import DegreeKeying
 from csa_floor.distributions import ChannelModel, parse_distribution, validate
 from csa_floor.harness import (
     CSV_HEADER,
     HISTOGRAM_KEYS,
-    BLOCK_FRAMES,
     SAMPLE_WORDS,
     PlanError,
     SweepPlan,
     _ChunkSpec,
     _FrameStreams,
+    _block_frames,
+    _chunk_specs,
     _classify_residuals,
     _peel_chunk,
     _sample_chunk,
@@ -109,14 +111,23 @@ class TestPlanValidation:
         assert plan.n == 262143
 
     def test_block_too_large_for_int32_slot_codes_rejected(self):
-        # 512-frame blocks of 2**22 slots: slot codes up to 2**31 - 1 and past
+        # a block of one frame of 2**31 slots: slot codes past int32
         with pytest.raises(PlanError, match="slot codes"):
-            SweepPlan(dist=parse_distribution("3:1.0"), n=2**22, epsilon=0.0, loads=(0.1,), frames=4096)
+            SweepPlan(dist=parse_distribution("3:1.0"), n=2**31, epsilon=0.0, loads=(1e-4,), frames=1)
 
-    @pytest.mark.parametrize("n, frames", [(2**22 - 1, 4096), (2**22, BLOCK_FRAMES // 2)])
-    def test_largest_block_for_int32_slot_codes_admitted(self, n, frames):
-        plan = SweepPlan(dist=parse_distribution("3:1.0"), n=n, epsilon=0.0, loads=(0.1,), frames=frames)
-        assert plan.n == n
+    @pytest.mark.parametrize(
+        "n, frames", [(2**22 - 1, 4096), (2**22, 256), (2**22, 4096), (2**31 - 1, 1)]
+    )
+    def test_largest_block_for_int32_slot_codes_admitted(self, n, frames, monkeypatch):
+        # blocks shrink as n grows, at any word budget, so every admitted
+        # plan's blocks keep their slot codes below 2**31
+        for load in (1e-6, 0.1):
+            plan = SweepPlan(dist=parse_distribution("3:1.0"), n=n, epsilon=0.0, loads=(load,), frames=frames)
+            for words in (SAMPLE_WORDS, 2**40):
+                monkeypatch.setattr(harness, "SAMPLE_WORDS", words)
+                for spec in _chunk_specs(plan):
+                    block = _block_frames(spec)
+                    assert block >= 1 and block * n < 2**31, (load, words, block)
 
     def test_round_half_up(self):
         assert round_half_up(22.5) == 23
@@ -256,14 +267,14 @@ class TestDeterminism:
         ],
     )
     def test_multi_block_bytes_pinned(self, ref_dist, tmp_path, epsilon, keying, csv_sha256, json_sha256):
-        # three sampler blocks per load, the last one partial
+        # two to eight blocks per load, the last one partial
         csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
         plan = SweepPlan(
             dist=ref_dist,
             n=200,
             epsilon=epsilon,
             loads=(0.2, 0.5),
-            frames=2 * BLOCK_FRAMES + 7,
+            frames=1031,
             seed=20141209,
             keying=keying,
             out_csv=str(csv_path),
@@ -274,7 +285,7 @@ class TestDeterminism:
         assert hashlib.sha256(json_path.read_bytes()).hexdigest() == json_sha256
 
     def test_multi_block_waterfall_bytes_pinned(self, ref_dist, tmp_path):
-        # three blocks per load in the waterfall, where every block keeps
+        # seven blocks per load in the waterfall, where every block keeps
         # residual components for the peel and the labeller to carry
         csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
         plan = SweepPlan(
@@ -282,7 +293,7 @@ class TestDeterminism:
             n=200,
             epsilon=0.0,
             loads=(0.8, 0.9),
-            frames=2 * BLOCK_FRAMES + 7,
+            frames=1031,
             seed=20141209,
             keying=DegreeKeying.INDUCED,
             out_csv=str(csv_path),
@@ -367,28 +378,42 @@ def _extra_traced_bytes(kernel, *args):
     return peak - entry - sum(a.nbytes for a in distinct), out
 
 
-def test_decode_working_memory_bounded_by_block(ref_dist):
+@pytest.mark.parametrize("n", [200, 1000])
+def test_decode_working_memory_bounded_by_block(ref_dist, n):
     """Past the threshold every frame keeps a residual. The peel and the
-    labeller run each block on state sized to the block, so four blocks
-    need well under twice the working memory of one; state sized to the
-    chunk would need about four times as much."""
-    n = 200
+    labeller run each block on state sized to the block, whose frames fit
+    SAMPLE_WORDS words, so their working memory stays under three times
+    those words' bytes at any n and block count. Blocks of a fixed 512
+    frames need about 25 and 50 MB more at n = 1000, and state sized to the
+    chunk grows with its frames."""
     m = round_half_up(0.9 * n)
-    peel_extra, classify_extra = [], []
-    for frames in (BLOCK_FRAMES, 4 * BLOCK_FRAMES):
+    for frames in (512, 2048):
         spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 5, 0, 0, frames, "induced")
+        block = _block_frames(spec)
         orig, recv, codes = _sample_chunk(spec)
-        extra, (resolved, block_edges) = _extra_traced_bytes(_peel_chunk, frames, m, n, codes, recv)
-        peel_extra.append(extra)
+        extra, (resolved, block_edges) = _extra_traced_bytes(_peel_chunk, frames, m, n, codes, recv, block)
+        assert extra < 3 * SAMPLE_WORDS * 8, ("peel", frames, extra)
         indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
-        bounds = np.arange(0, frames + 1, BLOCK_FRAMES)
-        assert block_edges.tolist() == indptr[bounds * m].tolist()
+        bounds = [*range(0, frames, block), frames]
+        assert block_edges.tolist() == indptr[np.array(bounds) * m].tolist()
         extra, _ = _extra_traced_bytes(
-            _classify_residuals, frames, m, n, codes, recv, block_edges, resolved.reshape(-1)
+            _classify_residuals, frames, m, n, codes, recv, block_edges, resolved.reshape(-1), block
         )
-        classify_extra.append(extra)
-    assert peel_extra[1] < 2 * peel_extra[0], peel_extra
-    assert classify_extra[1] < 2 * classify_extra[0], classify_extra
+        assert extra < 3 * SAMPLE_WORDS * 8, ("classify", frames, extra)
+
+
+@pytest.mark.parametrize("n", [200, 1000, 5000])
+@pytest.mark.parametrize("g, eps", [(0.005, 0.0), (0.1, 0.03), (0.9, 0.0), (2.0, 0.3)])
+def test_block_fits_sample_words_by_row_and_by_slots(ref_dist, n, g, eps):
+    """A block's sampler rows and its slots both fit SAMPLE_WORDS words, so
+    at tiny loads, where a frame's row is narrower than its n slots, the
+    peel's per-slot state stays at most SAMPLE_WORDS int64s."""
+    m = round_half_up(g * n)
+    spec = _ChunkSpec(ref_dist.probs, n, m, eps, 5, 0, 0, 4096, "induced")
+    width = harness._first_words(ref_dist.q, m, eps) + harness._spare_words(ref_dist.probs, n, m)
+    block = _block_frames(spec)
+    assert block * n <= SAMPLE_WORDS and (block == 1 or block * width <= SAMPLE_WORDS)
+    assert (block + 1) * max(width, n) > SAMPLE_WORDS
 
 
 def test_chunk_arrays_hold_four_bytes_per_edge_and_per_user(ref_dist):
@@ -397,7 +422,7 @@ def test_chunk_arrays_hold_four_bytes_per_edge_and_per_user(ref_dist):
     degrees are the drawn ones, and one matrix serves as both."""
     n = 200
     m = round_half_up(0.9 * n)
-    frames = 2 * BLOCK_FRAMES + 7
+    frames = 1031
     for eps in (0.0, 0.03):
         spec = _ChunkSpec(ref_dist.probs, n, m, eps, 5, 0, 0, frames, "induced")
         out = _sample_chunk(spec)
@@ -411,14 +436,14 @@ def test_chunk_arrays_hold_four_bytes_per_edge_and_per_user(ref_dist):
 
 @pytest.mark.parametrize("n", [200, 1000])
 def test_sampler_working_memory_bounded_by_sample_words(ref_dist, n):
-    """The sampler holds its chunk's arrays and, at a time, one sub-block of
+    """The sampler holds its chunk's arrays and, at a time, one block of
     about SAMPLE_WORDS uniforms and two int32 slot copies, each at most half
     the uniforms' bytes. So its working memory stays under three times the
-    uniforms' bytes at any n and block count; a buffer of a whole block
+    uniforms' bytes at any n and block count; a buffer of 512 frames
     needs 16.8 MB at n = 200 and 77 MB at n = 1000, and a final concatenate
     holds the codes twice."""
     m = round_half_up(0.9 * n)
-    for frames in (BLOCK_FRAMES, 4 * BLOCK_FRAMES):
+    for frames in (512, 2048):
         spec = _ChunkSpec(ref_dist.probs, n, m, 0.0, 5, 0, 0, frames, "induced")
         extra, _ = _extra_traced_bytes(_sample_chunk, spec)
         assert extra < 3 * SAMPLE_WORDS * 8, (frames, extra)
