@@ -16,11 +16,11 @@ from csa_floor.optimizer import ObjectiveSpec, optimize
 from csa_floor.predictor import analytic_report
 
 
-def describe(name, dist, n, g_target):
+def describe(name, dist, spec):
     g_star = threshold(dist)
-    floor = analytic_report(round(g_target * n), n, dist, ChannelModel(0.0)).average
+    floor = analytic_report(spec.m, spec.n, dist, ChannelModel(0.0)).average
     print(f"{name:>24}: {format_distribution(dist, digits=4):<28} "
-          f"threshold={g_star:.4f} analytic_floor@g={g_target}: {floor:.3e}")
+          f"threshold={g_star:.4f} analytic_floor@g={spec.g_target}: {floor:.3e}")
 
 
 def main():
@@ -44,9 +44,9 @@ def main():
     )
     result = optimize(spec, budget=args.budget, rng=np.random.default_rng(args.seed))
     print(f"evaluations: {len(result.trace)}  best score: {result.best_score:.5f}\n")
-    describe("optimized", result.best, args.n, args.g_target)
-    describe("reference 3/8 design", parse_distribution("3:0.87,8:0.13"), args.n, args.g_target)
-    describe("low-floor classic", parse_distribution("2:0.25,3:0.6,8:0.15"), args.n, args.g_target)
+    describe("optimized", result.best, spec)
+    describe("reference 3/8 design", parse_distribution("3:0.87,8:0.13"), spec)
+    describe("low-floor classic", parse_distribution("2:0.25,3:0.6,8:0.15"), spec)
 
 
 if __name__ == "__main__":

@@ -32,8 +32,10 @@ singleton slot. Each peeling
 wave resolves the users of the current singleton slots and updates the
 packed counters of their edges in one scatter, in time proportional to the
 edges it removes. Residual components are labelled by min-label propagation
-over the block's residual user/slot edges, in numpy, and the small ones are
-classified against the stopping-set catalog.
+over the block's residual user/slot edges, in numpy. Peeling leaves no
+singleton slot, so each residual component is a stopping set, and one small
+enough for the catalog takes the class of its signature
+(``stopping_sets.signature``), computed for all of them at once in numpy.
 
 Each chunk stage has a reference path that tests compare it against on the
 same frames: ``sample_frame(cfg, frame_generator(seed, i, f))`` for
@@ -47,7 +49,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -56,7 +58,7 @@ from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution
 from .frame_model import draw_frame, round_half_up
 from .predictor import analytic_report
-from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, classify_slot_sets
+from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL
 
 CHUNK_FRAMES = 4096
 # words per block of every chunk kernel (2 MB of float64 uniforms): a block
@@ -69,6 +71,16 @@ CSV_HEADER = "g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying"
 HISTOGRAM_KEYS = tuple(c.id for c in CATALOG) + (DEGREE0_LABEL, OTHER_LABEL)
 # residual components with more users than this can only be "Other"
 _MAX_CLASS_SIZE = max(c.size for c in CATALOG)
+# a small component's signature as one int: base-(_MAX_CLASS_SIZE + 1) digit
+# l - 1 counts its users of degree l, degrees past the catalog's sharing the
+# last digit, and its distinct slots count in units of _SLOT_KEY above them;
+# no digit carries, as the component has at most _MAX_CLASS_SIZE users
+_MAX_DEGREE = max(c.max_degree for c in CATALOG)
+_DEGREE_KEY = np.array([0] + [(_MAX_CLASS_SIZE + 1) ** l for l in range(_MAX_DEGREE + 1)])
+_SLOT_KEY = (_MAX_CLASS_SIZE + 1) ** (_MAX_DEGREE + 1)
+_CLASS_BY_KEY = {
+    sum(int(_DEGREE_KEY[len(u)]) for u in c.topology) + _SLOT_KEY * c.signature[1]: c.id for c in CATALOG
+}
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -187,23 +199,8 @@ class SweepRow:
     histogram_rates: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "g": self.g,
-            "m": self.m,
-            "n": self.n,
-            "frames": self.frames,
-            "keying": self.keying,
-            "totals": list(self.totals),
-            "unresolved": list(self.unresolved),
-            "plr_sim": list(self.plr_sim),
-            "ci95": list(self.ci95),
-            "plr_analytic": list(self.plr_analytic),
-            "avg_sim": self.avg_sim,
-            "avg_ci95": self.avg_ci95,
-            "avg_analytic": self.avg_analytic,
-            "histogram": dict(self.histogram),
-            "histogram_rates": dict(self.histogram_rates),
-        }
+        """The row's fields, tuples as lists, as ``write_json`` writes them."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +431,6 @@ def _sample_chunk(spec: _ChunkSpec):
     return orig, recv, codes
 
 
-def _block_indptr(degrees) -> np.ndarray:
-    """Each user's first edge among consecutive users' edges, counted from
-    the first user's, then their edge count: the int64 cumulative sums of
-    ``degrees``, the received degrees of a block or of some of its users."""
-    bptr = np.zeros(degrees.size + 1, dtype=np.int64)
-    np.cumsum(degrees.reshape(-1), out=bptr[1:])
-    return bptr
-
-
 def _peel_chunk(B, m, n, codes, recv, block):
     """Peeling of a chunk, block by block; returns (resolved (B, m),
     block_edges), where the edges of the i-th block of ``_blocks(B, block)``
@@ -456,8 +444,9 @@ def _peel_chunk(B, m, n, codes, recv, block):
     block-local id. A slot with two or more edges keeps ``state >= 2 << 32``
     whatever its id sum, so the singleton test is exact for block-local ids
     below 2**32; they are below ``block * m``. Each user's edges are
-    read off the block's ``_block_indptr``, so once its state is built, a
-    block's working set is 8 bytes per block edge, per slot and per user.
+    read off ``bptr``, the cumulative sums of the block's received degrees,
+    so once its state is built, a block's working set is 8 bytes per block
+    edge, per slot and per user.
     Each wave resolves the users of the current singleton slots, removes
     their edges with one ``np.subtract.at`` of each user's addend repeated
     over its edges, and takes the removed slots that became singletons as
@@ -468,7 +457,8 @@ def _peel_chunk(B, m, n, codes, recv, block):
     block_edges = np.zeros(len(blocks) + 1, dtype=np.int64)
     resolved = np.zeros(B * m, dtype=bool)
     for i, (lo, hi) in enumerate(blocks):
-        bptr = _block_indptr(recv[lo:hi])
+        bptr = np.zeros((hi - lo) * m + 1, dtype=np.int64)  # each user's first edge
+        np.cumsum(recv[lo:hi].reshape(-1), out=bptr[1:])
         e0 = block_edges[i]
         block_edges[i + 1] = e0 + bptr[-1]
         # intp indices: numpy's fancy indexing converts int32 ones per call
@@ -535,14 +525,17 @@ def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block)
     A component lies in one frame, so each block is labelled on its own
     slots: the block-local codes of its residual edges, picked from
     ``codes[block_edges[i] : block_edges[i + 1]]`` for the i-th block as
-    ``_peel_chunk`` returns them. A small component's slot sets are read
-    from those residual codes, through the ``_block_indptr`` of its
-    residual users' degrees; they are its slot sets shifted by
-    ``(frame - block_lo) * n``, which ``classify_slot_sets`` does not see.
+    ``_peel_chunk`` returns them. Every residual component is a stopping
+    set, so one of at most ``_MAX_CLASS_SIZE`` users is classified by its
+    signature alone, packed as a ``_CLASS_BY_KEY`` key: its users per
+    degree, one ``np.bincount`` on the labels weighted by ``_DEGREE_KEY``,
+    and its distinct slots, counted over the edges that win an owner write
+    to their slot, as ``_peel_chunk`` dedupes users.
     """
     hist: Counter = Counter()
     recv_flat = recv.reshape(B * m)
     degree0 = 0
+    keys = [np.empty(0, dtype=np.int64)]
     for (lo, hi), e0, e1 in zip(_blocks(B, block), block_edges[:-1], block_edges[1:]):
         u0, u1 = lo * m, hi * m
         block_recv, block_unres = recv_flat[u0:u1], ~resolved_flat[u0:u1]
@@ -555,23 +548,26 @@ def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block)
             continue
         rcode = codes[e0:e1][np.repeat(block_unres, block_recv)]
         rcode = rcode.astype(np.intp)  # numpy converts int32 indices per call
-        u_inv = np.repeat(np.arange(users.size), block_recv[users])
+        degrees = block_recv[users]
+        u_inv = np.repeat(np.arange(users.size), degrees)
         labels, _ = _component_labels(rcode, u_inv, users.size, (hi - lo) * n)
         sizes = np.bincount(labels, minlength=users.size)
 
         hist[OTHER_LABEL] += int((sizes > _MAX_CLASS_SIZE).sum())
 
-        small = np.flatnonzero(sizes[labels] <= _MAX_CLASS_SIZE)
-        if small.size:
-            small = small[np.argsort(labels[small], kind="stable")]
-            rptr = _block_indptr(block_recv[users])
-            slot_sets = [
-                frozenset(rcode[a:b].tolist())
-                for a, b in zip(rptr[small].tolist(), rptr[small + 1].tolist())
-            ]
-            bounds = [0, *(np.flatnonzero(np.diff(labels[small])) + 1).tolist(), small.size]
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                hist[classify_slot_sets(slot_sets[a:b])] += 1
+        small = sizes[labels] <= _MAX_CLASS_SIZE
+        weight = _DEGREE_KEY[np.minimum(degrees[small], _MAX_DEGREE + 1)]
+        by_degree = np.bincount(labels[small], weights=weight, minlength=users.size)
+        edges = small[u_inv]
+        scode = rcode[edges]
+        rank = np.arange(scode.size, dtype=np.int32)
+        owner = np.empty((hi - lo) * n, dtype=np.int32)
+        owner[scode] = rank
+        slots = np.bincount(labels[u_inv[edges]][owner[scode] == rank], minlength=users.size)
+        roots = (sizes > 0) & (sizes <= _MAX_CLASS_SIZE)
+        keys.append(by_degree[roots].astype(np.int64) + _SLOT_KEY * slots[roots])
+    for key, count in zip(*np.unique(np.concatenate(keys), return_counts=True)):
+        hist[_CLASS_BY_KEY.get(int(key), OTHER_LABEL)] += int(count)
     if degree0:
         hist[DEGREE0_LABEL] += degree0
     return hist

@@ -1,8 +1,10 @@
 """Exact brute-force ground truth for small stopping-set instances.
 
-Everything here enumerates complete joint slot assignments and counts in
-exact rational arithmetic, so catalog formulas can be checked by equality
-rather than tolerance. Each assignment is decoded and labelled by the
+Everything here counts joint slot assignments in exact rational
+arithmetic, so catalog formulas can be checked by equality rather than
+tolerance. ``exact_beta`` enumerates the assignments that realize a class
+topology, one per label-to-slot map. ``exact_event_probabilities``
+enumerates every joint assignment and decodes and labels each by the
 reference path: ``decoder.peel``, then ``stopping_sets.components`` and
 ``classify`` on the residual. It exists for tests and manual exploration;
 the predictor never calls it.
@@ -34,13 +36,9 @@ def _assignment_space(degrees: tuple[int, ...], n: int) -> int:
     return size
 
 
-def _check_size(degrees: tuple[int, ...], n: int):
-    size = _assignment_space(degrees, n)
+def _check_size(size: int, what: str):
     if size > MAX_ENUMERATION:
-        raise EnumerationTooLarge(
-            f"{size} joint assignments for degrees {degrees} at n = {n} "
-            f"exceed the {MAX_ENUMERATION} cap"
-        )
+        raise EnumerationTooLarge(f"{size} {what} exceed the {MAX_ENUMERATION} cap")
 
 
 def _matching_assignments(sclass: StoppingSetClass, n: int) -> frozenset:
@@ -54,6 +52,7 @@ def _matching_assignments(sclass: StoppingSetClass, n: int) -> frozenset:
     adjacent users is no relabelling, and those assignments are missed.
     """
     labels = sorted({l for u in sclass.topology for l in u})
+    _check_size(math.perm(n, len(labels)), f"label maps for class {sclass.id} at n = {n}")
     out = set()
     for slots in permutations(range(n), len(labels)):
         relabel = dict(zip(labels, slots))
@@ -67,18 +66,12 @@ def _matching_assignments(sclass: StoppingSetClass, n: int) -> frozenset:
 def _exact_beta(class_id: str, n: int) -> Fraction:
     sclass = CATALOG_BY_ID[class_id]
     degrees = tuple(len(u) for u in sclass.topology)
-    _check_size(degrees, n)
-    matching = _matching_assignments(sclass, n)
-    count = 0
-    spaces = [tuple(combinations(range(n), l)) for l in degrees]
-    for assignment in product(*spaces):
-        if assignment in matching:
-            count += 1
-    return Fraction(count, _assignment_space(degrees, n))
+    return Fraction(len(_matching_assignments(sclass, n)), _assignment_space(degrees, n))
 
 
 def exact_beta(sclass: StoppingSetClass, n: int) -> Fraction:
-    """Exact probability that the class's users land exactly on its topology."""
+    """Exact probability that the class's users land exactly on its topology:
+    the assignments that realize it over all assignments of its degrees."""
     return _exact_beta(sclass.id, n)
 
 
@@ -105,8 +98,8 @@ def exact_event_probabilities(degrees, n: int) -> ExactEventTally:
         raise ValueError(f"degrees must be non-negative, got {degrees}")
     if any(d > n for d in degrees):
         raise ValueError(f"degree larger than slot count {n}: {degrees}")
-    _check_size(degrees, n)
     total = _assignment_space(degrees, n)
+    _check_size(total, f"joint assignments for degrees {degrees} at n = {n}")
 
     unresolved_counts: dict[int, int] = {}
     label_counts: dict[str, int] = {}

@@ -14,9 +14,14 @@ count!)`` terms, and caches ``beta`` per frame length. From these ``alpha``
 and ``rho`` reproduce ``C(m, s) * multinomial_pmf(...) * beta`` bit for bit,
 and the tests hold them to it.
 
-Classification matches a residual component against the catalog by degree
-profile first, then by exhaustive slot-relabeling (catalog structures use at
-most 4 slots, so at most 4! bijections are tried); anything else is "Other".
+A stopping set's signature is its profile and the number of distinct slots
+it occupies. Among stopping sets, the signature alone fixes the catalog
+class: no other stopping set shares the signature of S1-S8 (the tests check
+every assignment of up to four users at n = 5). So ``classify`` labels a
+stopping set by looking its signature up in ``CATALOG_BY_SIGNATURE``, a
+lone user with no surviving copy "Degree0", and anything else "Other". The
+sweep applies the same rule to residual components, which are stopping sets
+by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from typing import Callable, Sequence
 
 from .distributions import DegreeDistribution
@@ -37,6 +41,13 @@ OTHER_LABEL = "Other"
 
 class TooFewUsers(ValueError):
     """Graph has fewer users than the stopping-set class needs."""
+
+
+def signature(slot_sets: Sequence[frozenset]) -> tuple[tuple[int, ...], int]:
+    """User counts by degree and distinct slots of users given as slot sets."""
+    degrees = [len(ss) for ss in slot_sets]
+    profile = tuple(degrees.count(l) for l in range(max(degrees) + 1))
+    return profile, len(frozenset().union(*slot_sets))
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,11 @@ class StoppingSetClass:
         """User counts by degree, read off the topology."""
         degrees = [len(u) for u in self.topology]
         return tuple(degrees.count(l) for l in range(max(degrees) + 1))
+
+    @cached_property
+    def signature(self) -> tuple[tuple[int, ...], int]:
+        """(profile, distinct slots), which no other stopping set shares."""
+        return signature(self.topology)
 
     @cached_property
     def size(self) -> int:
@@ -113,6 +129,7 @@ CATALOG: tuple[StoppingSetClass, ...] = (
 )
 
 CATALOG_BY_ID: dict[str, StoppingSetClass] = {c.id: c for c in CATALOG}
+CATALOG_BY_SIGNATURE: dict[tuple, StoppingSetClass] = {c.signature: c for c in CATALOG}
 
 
 def beta(sclass: StoppingSetClass, n: int) -> float:
@@ -208,35 +225,16 @@ def components(residual: FrameGraph) -> tuple[FrameGraph, ...]:
     return tuple(out)
 
 
-def classify_slot_sets(slot_sets: Sequence[frozenset[int]]) -> str:
-    """Classify one connected component given as the users' slot sets."""
+def classify(fragment: FrameGraph) -> str:
+    """Catalog id of a stopping set with a catalog signature, Degree0 for a
+    lone user with no surviving copy, or Other."""
+    slot_sets = [user.slots for user in fragment.users]
     if len(slot_sets) == 1 and not slot_sets[0]:
         return DEGREE0_LABEL
-    if any(not ss for ss in slot_sets):
+    if not is_stopping_set(fragment):
         return OTHER_LABEL
-
-    degrees = sorted(len(ss) for ss in slot_sets)
-    slots = sorted({s for ss in slot_sets for s in ss})
-    target = sorted(tuple(sorted(ss)) for ss in slot_sets)
-
-    for sclass in CATALOG:
-        tpl_degrees = sorted(len(u) for u in sclass.topology)
-        if degrees != tpl_degrees:
-            continue
-        labels = sorted({l for u in sclass.topology for l in u})
-        if len(labels) != len(slots):
-            continue
-        for perm in permutations(slots):
-            relabel = dict(zip(labels, perm))
-            inst = sorted(tuple(sorted(relabel[l] for l in u)) for u in sclass.topology)
-            if inst == target:
-                return sclass.id
-    return OTHER_LABEL
-
-
-def classify(fragment: FrameGraph) -> str:
-    """Catalog id of a residual component, Degree0, or Other."""
-    return classify_slot_sets([user.slots for user in fragment.users])
+    sclass = CATALOG_BY_SIGNATURE.get(signature(slot_sets))
+    return sclass.id if sclass else OTHER_LABEL
 
 
 def instantiate(

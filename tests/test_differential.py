@@ -275,6 +275,26 @@ def test_packed_slot_state_exact_past_32_bit_index_sums():
     assert hist == {"Other": 1}  # users 1..m-2, all joined through slots 0 and 1
 
 
+def test_catalog_look_alikes_classified_as_other():
+    """One frame with the S6 and S7 look-alikes, whose users per degree are
+    S6's and S7's but whose slots are one fewer, beside a true S6 and S7.
+    No slot is a singleton, so all four components stay whole."""
+    n = 12
+    slots = [
+        (0, 1), (0, 1), (0, 1),  # three degree-2 users on one slot pair
+        (2, 3, 4), (2, 3, 4), (2, 3),  # two triples closed inside them
+        (5, 6), (6, 7), (5, 7),  # S6
+        (8, 10, 11), (9, 10, 11), (8, 9),  # S7
+    ]
+    m = len(slots)
+    recv = np.array([[len(s) for s in slots]], dtype=np.int16)
+    codes = np.array([s for row in slots for s in row], dtype=np.int32)
+    resolved, block_edges = _peel_chunk(1, m, n, codes, recv, 1)
+    assert not resolved.any()
+    hist = _classify_residuals(1, m, n, codes, recv, block_edges, resolved.reshape(-1), 1)
+    assert hist == {"Other": 2, "S6": 1, "S7": 1}
+
+
 def _path(length):
     """User i holds slots i and i+1."""
     return [(i, i + 1) for i in range(length)]

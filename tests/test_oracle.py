@@ -48,6 +48,9 @@ class TestExactBeta:
         ratio = got / beta_exact(sclass, n)
         assert Fraction(3, 2) <= ratio <= Fraction(3, 1)
 
+    def test_s5_at_200(self):
+        assert exact_beta(CATALOG_BY_ID["S5"], 200) == Fraction(1, 19900)
+
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationTooLarge):
             exact_beta(CATALOG_BY_ID["S8"], 5000)

@@ -4,7 +4,9 @@ second each."""
 
 from pathlib import Path
 
+from csa_floor.distributions import ChannelModel, parse_distribution
 from csa_floor.harness import CSV_HEADER
+from csa_floor.predictor import analytic_report
 from tests.test_cli import _run_child
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -22,6 +24,18 @@ def test_optimize_distribution_script():
     ]
     assert all("threshold=" in line and "analytic_floor@g=0.5: " in line for line in lines[1:])
     assert "3:0.87,8:0.13" in lines[2] and "2:0.25,3:0.6,8:0.15" in lines[3]
+
+
+def test_optimize_distribution_script_floors_at_the_optimizers_m():
+    # 0.25 * 10 = 2.5 users: the optimizer scores m = 3 (halves up), where
+    # round() would give 2
+    out = _run_child(
+        str(SCRIPTS / "optimize_distribution.py"), "--budget", "20", "--g-target", "0.25", "--n", "10"
+    )
+    assert out.returncode == 0, out.stderr
+    floor = analytic_report(3, 10, parse_distribution("3:0.87,8:0.13"), ChannelModel(0.0)).average
+    lines = [line for line in out.stdout.splitlines() if "reference 3/8 design" in line]
+    assert len(lines) == 1 and lines[0].endswith(f"analytic_floor@g=0.25: {floor:.3e}")
 
 
 def test_plr_floor_study_script(tmp_path):

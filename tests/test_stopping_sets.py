@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from scipy.stats import binom
@@ -8,6 +8,7 @@ from scipy.stats import binom
 from csa_floor.decoder import peel
 from csa_floor.distributions import validate
 from csa_floor.frame_model import FrameGraph, SlotCountTooSmall, UserRecord
+from csa_floor.oracle import _matching_assignments
 from csa_floor.stopping_sets import (
     CATALOG,
     CATALOG_BY_ID,
@@ -170,6 +171,28 @@ class TestClassify:
         # profile matches S6 but topology does not
         graph = build(10, {0, 1}, {0, 1}, {0, 1})
         assert classify(graph) == "Other"
+
+    def test_two_triples_closed_by_a_pair_inside_them_is_other(self):
+        # profile matches S7, but the users occupy 3 slots, not 4
+        graph = build(10, {0, 1, 2}, {0, 1, 2}, {0, 1})
+        assert classify(graph) == "Other"
+
+    def test_matches_relabelling_sets_exhaustively(self):
+        # every assignment of up to four users of degrees 1-4 at n = 5, users
+        # in degree order, is class C exactly when its user-sorted form is a
+        # relabelling of C's topology, and Other otherwise
+        n = 5
+        class_of = {
+            tuple(sorted(a)): c.id for c in CATALOG for a in _matching_assignments(c, n)
+        }
+        count = 0
+        for k in range(1, 5):
+            for degrees in combinations_with_replacement(range(1, 5), k):
+                for assignment in product(*(combinations(range(n), l) for l in degrees)):
+                    want = class_of.get(tuple(sorted(assignment)), "Other")
+                    assert classify(build(n, *assignment)) == want, assignment
+                    count += 1
+        assert count == 135_230
 
     def test_is_stopping_set_examples(self):
         assert is_stopping_set(build(10, {1, 2}, {1, 2}))
