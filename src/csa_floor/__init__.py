@@ -12,6 +12,7 @@ from .distributions import (
     parse_distribution,
     validate,
 )
+from .errors import CsaFloorError
 from .frame_model import (
     FrameConfig,
     FrameGraph,
@@ -48,6 +49,7 @@ __all__ = [
     "CATALOG",
     "CATALOG_BY_ID",
     "ChannelModel",
+    "CsaFloorError",
     "DecodeOutcome",
     "DegreeDistribution",
     "DegreeKeying",

@@ -1,7 +1,8 @@
 """Command-line interface: analytic prediction, simulation, and search.
 
-Exit codes: 0 on success, 1 on configuration errors (bad flags, malformed
-distributions, invalid plans), 2 on runtime failures.
+Exit codes: 0 on success, 1 on the package's input errors (``CsaFloorError``:
+bad flags, malformed distributions, invalid plans and design points), 2 on
+any other failure, I/O errors and numpy's own ``ValueError`` among them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import oracle as oracle_mod
 from .decoder import DegreeKeying
 from .density_evolution import threshold
 from .distributions import ChannelModel, format_distribution, induce, parse_distribution
+from .errors import CsaFloorError
 from .harness import (
     CSV_HEADER,
     SweepPlan,
@@ -31,7 +33,7 @@ from .predictor import analytic_report
 from .stopping_sets import CATALOG_BY_ID, beta
 
 
-class ConfigError(ValueError):
+class ConfigError(CsaFloorError):
     """Unusable command-line configuration."""
 
 
@@ -273,7 +275,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # the package's configuration errors among them
+    except CsaFloorError as exc:  # bad input: flags, laws, plans, design points
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit:

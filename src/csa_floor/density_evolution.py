@@ -12,9 +12,11 @@ degree. The unresolved user fraction at the fixed point is
 sum_l lambda_l p^l. The threshold g* is the largest load whose fixed point
 leaves a vanishing unresolved fraction. A nonzero fixed point p exists at
 load g exactly when g = -ln(1 - p) / (dbar * lambda_e(p)), so g* is the
-infimum of that ratio over p in (0, 1); ``threshold`` computes it in that
-closed form, and ``de_fixed_point`` keeps the recursion for traces and the
-unresolved fraction at a given load.
+infimum of that ratio over p in (0, 1). ``threshold`` computes it in that
+closed form: the ratio on a fixed grid, then a Newton solve of its
+stationarity condition between the grid argmin's neighbours.
+``de_fixed_point`` keeps the recursion for traces and the unresolved
+fraction at a given load.
 
 The recursion assumes every user has degree >= 2: with mass on degree 0 or 1
 it stops describing the actual decoder (a degree-1 user occupies one slot
@@ -26,23 +28,33 @@ governed by the induced degree-0 mass instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DegreeDistribution
+from .errors import CsaFloorError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 GRID_POINTS = 2048
-REFINE_WIDTH = 1e-12
+NEWTON_TOL = 1e-12
+_GRID_STEP = 1.0 / (GRID_POINTS + 1)
 _GRID = np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
 _GRID_NUMERATOR = -np.log1p(-_GRID)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class DegreeOneUnsupported(ValueError):
+@functools.cache
+def _grid_power(k: int) -> np.ndarray:
+    """GRID**k, read-only, computed on first use."""
+    power = _GRID**k
+    power.flags.writeable = False
+    return power
+
+
+class DegreeOneUnsupported(CsaFloorError):
     """Recursion undefined for distributions with mass on degree 0 or 1."""
 
 
@@ -119,54 +131,72 @@ def threshold(dist: DegreeDistribution) -> float:
     """Load threshold g*: the supremum of loads whose recursion converges to
     zero, capped at 1.
 
-    g* is the infimum over p in (0, 1) of -ln(1 - p) / sum_l l lambda_l p^(l-1),
-    the load at which p is a fixed point of the recursion: the minimum over a
-    fixed grid of GRID_POINTS interior points, refined by golden section
-    between the grid argmin's neighbours, or the p -> 0 limit 1 / (2 lambda_2)
-    when smaller, which is where the infimum sits for degree-2-heavy laws.
+    g* is the infimum over p in (0, 1) of f(p) = -ln(1 - p) / P(p), with
+    P(p) = sum_l l lambda_l p^(l-1), the load at which p is a fixed point of
+    the recursion. It is the smallest of three values: f's minimum over a
+    fixed grid of GRID_POINTS interior points, f at the stationary point
+    that a safeguarded Newton solve finds between the grid argmin's
+    neighbours, and the p -> 0 limit 1 / (2 lambda_2) when lambda_2 > 0,
+    which is where the infimum sits for degree-2-heavy laws. So it is never
+    above the grid minimum.
 
-    The grid polynomial is evaluated by Horner's rule in place on one array,
-    and the golden-section objective inline. Both Horner loops start from the
-    top coefficient, multiply at every lower degree and add only the nonzero
-    coefficients. A valid law has no negative coefficient, so adding a zero
-    changes no partial sum except a -0.0 above the top nonzero one into
-    +0.0, and that nonzero add absorbs either sign. Both therefore reproduce
-    the formulation with ``numpy.polynomial.polynomial.polyval`` and a
-    golden-section closure bit for bit, and the tests hold them to it.
+    The grid sums the nonzero terms only, w_k * GRID**k with w_k the
+    coefficient of p^k in P, from powers that ``_grid_power`` memoizes.
+    The stationarity condition is H(p) = P(p) + (1-p) ln(1-p) P'(p) = 0; H
+    has the sign of f's slope, and H'(p) = ln(1-p) ((1-p) P''(p) - P'(p)).
+    Near p = 0, H(p) = (lambda_2 - 3 lambda_3) p^2 + O(p^3), so Newton runs
+    on H(p) / p: it has the same roots in (0, 1) and, unless lambda_2 =
+    3 lambda_3, a simple one at 0, which Newton approaches quadratically
+    where H's double root would only halve the distance per step. Newton
+    starts from the vertex of the parabola through the three grid values
+    around the argmin, stops once its step or the bracket is below
+    NEWTON_TOL, keeps the bracket [a, b] by the sign of H and bisects
+    whenever a step would leave it. It never evaluates f at p = 0 or
+    p = 1, where the bracket may end.
     """
     _check_min_degree(dist)
-    weights = [l * lam for l, lam in enumerate(dist.probs)][1:]  # coefficient of p^(l-1)
-    top, *lower = weights[::-1]  # lower[-1] = lambda_1 = 0: its step only multiplies
-    values = _GRID * top
-    for w in lower[:-1]:
-        if w:
-            values += w
-        values *= _GRID
+    terms = [(l - 1, l * lam) for l, lam in enumerate(dist.probs) if lam]  # w_k p^k of P
+    (k, w), *rest = terms
+    values = w * _grid_power(k)
+    for k, w in rest:
+        values += w * _grid_power(k)
     np.divide(_GRID_NUMERATOR, values, out=values)
-    i = int(np.argmin(values))
+    i = int(values.argmin())
+    g_star = float(values[i])
 
-    a = float(_GRID[i - 1]) if i > 0 else 0.0
-    b = float(_GRID[i + 1]) if i + 1 < GRID_POINTS else 1.0
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc = -math.log1p(-c) / _horner(weights, c)
-    fd = -math.log1p(-d) / _horner(weights, d)
+    if 0 < i < GRID_POINTS - 1:
+        a, x, b = _GRID[i - 1 : i + 2].tolist()
+        left, right = float(values[i - 1]), float(values[i + 1])
+        curvature = left - 2.0 * g_star + right
+        if curvature > 0.0:  # start from the vertex of the parabola
+            x += _GRID_STEP * 0.5 * (left - right) / curvature
+    else:  # the bracket reaches p = 0 or p = 1, where f is not evaluated
+        a = float(_GRID[i - 1]) if i else 0.0
+        b = 1.0 if i else float(_GRID[1])
+        x = float(_GRID[i])
     log1p = math.log1p
-    while b - a > REFINE_WIDTH:
-        left = fc < fd
-        if left:
-            b, d, fd = d, c, fc
-            x = c = b - _INV_PHI * (b - a)
+    while True:
+        u = 1.0 - x
+        ln_u = log1p(-x)
+        u_ln_u = u * ln_u
+        poly = h = dh = 0.0
+        for k, w in terms:
+            t = w * x ** (k - 1)  # P(x) = sum t x, P'(x) = sum k t
+            poly += t * x
+            h += t * (x + u_ln_u * k)
+            dh += k * t * (u * (k - 1) - x)
+        if h < 0.0:  # f falls at x: its minimum lies to the right
+            a = x
         else:
-            a, c, fc = c, d, fd
-            x = d = a + _INV_PHI * (b - a)
-        acc = top
-        for w in lower:
-            acc = acc * x + w if w else acc * x
-        if left:
-            fc = -log1p(-x) / acc
-        else:
-            fd = -log1p(-x) / acc
-    g_star = min(float(values[i]), fc, fd)
+            b = x
+        slope = ln_u * dh - h  # x H'(x) = ln_u dh; x^2 (H(p) / p)' at x
+        step = h * x / slope if slope else math.inf
+        if abs(step) <= NEWTON_TOL or b - a <= NEWTON_TOL:
+            break
+        x -= step
+        if not a < x < b:
+            x = 0.5 * (a + b)
+    g_star = min(g_star, -ln_u / poly)
     if dist.probs[2] > 0.0:
         g_star = min(g_star, 0.5 / dist.probs[2])
     return min(1.0, g_star)

@@ -15,11 +15,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import CsaFloorError
+
 SIMPLEX_TOL = 1e-9
 _IS_NON_NEGATIVE = (0.0).__le__  # x -> 0.0 <= x
 
 
-class DistributionError(ValueError):
+class DistributionError(CsaFloorError):
     """Invalid degree-distribution input."""
 
 
@@ -35,7 +37,7 @@ class SumNotOne(DistributionError):
     """Probability vector does not sum to 1 within SIMPLEX_TOL."""
 
 
-class DomainError(ValueError):
+class DomainError(CsaFloorError):
     """Polynomial argument outside [0, 1]."""
 
 

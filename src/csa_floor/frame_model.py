@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import ChannelModel, DegreeDistribution
+from .errors import CsaFloorError
 
 
-class SlotCountTooSmall(ValueError):
+class SlotCountTooSmall(CsaFloorError):
     """Frame has fewer slots than the largest drawable degree needs."""
 
 

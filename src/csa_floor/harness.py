@@ -56,6 +56,7 @@ from numpy.random import Generator, Philox
 
 from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution
+from .errors import CsaFloorError
 from .frame_model import draw_frame, round_half_up
 from .predictor import analytic_report
 from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL
@@ -89,7 +90,7 @@ _EDGE = np.int64(1 << 32)
 _LOW = np.int64((1 << 32) - 1)
 
 
-class PlanError(ValueError):
+class PlanError(CsaFloorError):
     """Invalid sweep plan."""
 
 

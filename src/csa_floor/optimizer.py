@@ -28,6 +28,7 @@ import numpy as np
 
 from .distributions import ChannelModel, DegreeDistribution, induce
 from .density_evolution import threshold
+from .errors import CsaFloorError
 from .frame_model import round_half_up
 from .predictor import average_plr, plr_per_degree
 
@@ -50,27 +51,27 @@ class ObjectiveSpec:
         support = tuple(sorted(set(int(d) for d in self.support)))
         object.__setattr__(self, "support", support)
         if not support:
-            raise ValueError("support must be non-empty")
+            raise CsaFloorError("support must be non-empty")
         if support[0] < 2:
-            raise ValueError(
+            raise CsaFloorError(
                 f"support degrees must be >= 2 (density evolution), got {support}"
             )
         for name in ("w_threshold", "w_floor"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # false for NaN too
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+                raise CsaFloorError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 < self.floor_log_cap < math.inf:
-            raise ValueError(f"floor_log_cap must be finite and positive, got {self.floor_log_cap}")
+            raise CsaFloorError(f"floor_log_cap must be finite and positive, got {self.floor_log_cap}")
         if self.w_threshold + self.w_floor <= 0.0:
-            raise ValueError("at least one weight must be positive")
+            raise CsaFloorError("at least one weight must be positive")
         if not 0.0 < self.g_target <= 2.0:
-            raise ValueError(f"g_target must be in (0, 2], got {self.g_target}")
+            raise CsaFloorError(f"g_target must be in (0, 2], got {self.g_target}")
         if self.n < 4:
-            raise ValueError(f"frame length must be >= 4, got {self.n}")
+            raise CsaFloorError(f"frame length must be >= 4, got {self.n}")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+            raise CsaFloorError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.m < 1:
-            raise ValueError(
+            raise CsaFloorError(
                 f"g_target {self.g_target} at n = {self.n} rounds to zero users"
             )
 
@@ -105,7 +106,7 @@ def objective(dist: DegreeDistribution, spec: ObjectiveSpec) -> float:
     """Score a candidate; higher is better."""
     for l, p in enumerate(dist.probs):
         if p > 0.0 and l not in spec.support:
-            raise ValueError(f"candidate puts mass on degree {l} outside support")
+            raise CsaFloorError(f"candidate puts mass on degree {l} outside support")
     g_star = threshold(dist)
     induced_dist = induce(dist, spec.channel)
     p, _ = plr_per_degree(spec.m, spec.n, induced_dist)
@@ -129,7 +130,7 @@ def optimize(
     order.
     """
     if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+        raise CsaFloorError(f"budget must be >= 1, got {budget}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     k = len(spec.support)

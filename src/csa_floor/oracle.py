@@ -19,13 +19,14 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .decoder import peel
-from .frame_model import FrameGraph, UserRecord
+from .errors import CsaFloorError
+from .frame_model import FrameGraph, SlotCountTooSmall, UserRecord
 from .stopping_sets import CATALOG_BY_ID, StoppingSetClass, classify, components
 
 MAX_ENUMERATION = 10**8
 
 
-class EnumerationTooLarge(ValueError):
+class EnumerationTooLarge(CsaFloorError):
     """Joint assignment space exceeds MAX_ENUMERATION."""
 
 
@@ -72,6 +73,8 @@ def _exact_beta(class_id: str, n: int) -> Fraction:
 def exact_beta(sclass: StoppingSetClass, n: int) -> Fraction:
     """Exact probability that the class's users land exactly on its topology:
     the assignments that realize it over all assignments of its degrees."""
+    if n < sclass.max_degree:
+        raise SlotCountTooSmall(f"class {sclass.id} needs n >= {sclass.max_degree}, got {n}")
     return _exact_beta(sclass.id, n)
 
 
@@ -95,9 +98,9 @@ def exact_event_probabilities(degrees, n: int) -> ExactEventTally:
     """
     degrees = tuple(int(d) for d in degrees)
     if any(d < 0 for d in degrees):
-        raise ValueError(f"degrees must be non-negative, got {degrees}")
+        raise CsaFloorError(f"degrees must be non-negative, got {degrees}")
     if any(d > n for d in degrees):
-        raise ValueError(f"degree larger than slot count {n}: {degrees}")
+        raise CsaFloorError(f"degree larger than slot count {n}: {degrees}")
     total = _assignment_space(degrees, n)
     _check_size(total, f"joint assignments for degrees {degrees} at n = {n}")
 

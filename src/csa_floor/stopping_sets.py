@@ -33,13 +33,14 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .distributions import DegreeDistribution
+from .errors import CsaFloorError
 from .frame_model import FrameGraph, SlotCountTooSmall, UserRecord
 
 DEGREE0_LABEL = "Degree0"
 OTHER_LABEL = "Other"
 
 
-class TooFewUsers(ValueError):
+class TooFewUsers(CsaFloorError):
     """Graph has fewer users than the stopping-set class needs."""
 
 

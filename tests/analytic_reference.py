@@ -4,12 +4,17 @@ Each function evaluates its formula the direct way: ``rho`` through
 ``multinomial_pmf`` and the class's beta formula on every call,
 ``plr_per_degree`` by scanning every class profile at every degree,
 ``induce`` with the binomial coefficients and powers recomputed per term,
-``threshold`` with ``numpy.polynomial.polynomial.polyval`` on the grid
-and a golden-section objective function, ``average_plr`` over a generator
-of products, and ``to_distribution`` on the raw weights as given, numpy
+``threshold`` with a generator sum of ``w * GRID**k`` on the grid and a
+Newton closure for the refinement, ``average_plr`` over a generator of
+products, and ``to_distribution`` on the raw weights as given, numpy
 scalars included. The package's kernels precompute and reuse what these
 recompute and skip the adds of zero terms, with the same results in every
 bit, and ``test_analytic_kernels.py`` holds them to bitwise equality.
+
+``threshold_golden`` is the threshold's earlier formulation, an independent
+oracle rather than a restatement: ``numpy.polynomial.polynomial.polyval``
+over every coefficient on the grid, then golden-section search on f itself
+between the grid argmin's neighbours down to ``REFINE_WIDTH``.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ import numpy as np
 from csa_floor.density_evolution import (
     _GRID,
     _GRID_NUMERATOR,
-    _INV_PHI,
     GRID_POINTS,
-    REFINE_WIDTH,
+    NEWTON_TOL,
     _check_min_degree,
     _horner,
 )
@@ -31,6 +35,10 @@ from csa_floor.distributions import ChannelModel, DegreeDistribution
 from csa_floor.frame_model import SlotCountTooSmall, multinomial_pmf
 from csa_floor.predictor import FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_OUT_OF_VALIDITY, VALIDITY_LIMIT
 from csa_floor.stopping_sets import CATALOG, StoppingSetClass, TooFewUsers
+
+# threshold_golden's bracket width in p and golden-section ratio
+REFINE_WIDTH = 1e-12
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def beta(sclass: StoppingSetClass, n: int) -> float:
@@ -108,6 +116,48 @@ def to_distribution(weights, support: tuple[int, ...]) -> DegreeDistribution:
 
 
 def threshold(dist: DegreeDistribution) -> float:
+    _check_min_degree(dist)
+    terms = [(l - 1, l * lam) for l, lam in enumerate(dist.probs) if lam > 0.0]
+    values = _GRID_NUMERATOR / sum(w * _GRID**k for k, w in terms)
+    i = int(np.argmin(values))
+
+    def f(p: float) -> float:
+        return -math.log1p(-p) / sum(w * p ** (k - 1) * p for k, w in terms)
+
+    def newton(p: float) -> tuple[float, float]:
+        """H(p) and the Newton step on H(p) / p."""
+        u = 1.0 - p
+        ln_u = math.log1p(-p)
+        h = sum(w * p ** (k - 1) * (p + u * ln_u * k) for k, w in terms)
+        dh = sum(k * (w * p ** (k - 1)) * (u * (k - 1) - p) for k, w in terms)
+        slope = ln_u * dh - h
+        return h, h * p / slope if slope else math.inf
+
+    a = float(_GRID[i - 1]) if i > 0 else 0.0
+    b = float(_GRID[i + 1]) if i + 1 < GRID_POINTS else 1.0
+    x = float(_GRID[i])
+    if 0 < i < GRID_POINTS - 1:
+        left, mid, right = float(values[i - 1]), float(values[i]), float(values[i + 1])
+        if left - 2.0 * mid + right > 0.0:
+            x += 1.0 / (GRID_POINTS + 1) * 0.5 * (left - right) / (left - 2.0 * mid + right)
+    while True:
+        h, step = newton(x)
+        if h < 0.0:
+            a = x
+        else:
+            b = x
+        if abs(step) <= NEWTON_TOL or b - a <= NEWTON_TOL:
+            break
+        x -= step
+        if not a < x < b:
+            x = 0.5 * (a + b)
+    g_star = min(float(values[i]), f(x))
+    if dist.probs[2] > 0.0:
+        g_star = min(g_star, 0.5 / dist.probs[2])
+    return min(1.0, g_star)
+
+
+def threshold_golden(dist: DegreeDistribution) -> float:
     _check_min_degree(dist)
     weights = [l * lam for l, lam in enumerate(dist.probs)][1:]
     values = _GRID_NUMERATOR / np.polynomial.polynomial.polyval(_GRID, weights)

@@ -4,8 +4,9 @@
 terms and skip zero ones; ``analytic_reference`` recomputes every term on
 every call. Both must give the same floats, compared with ``==``, one call
 at a time and over every candidate of whole optimizer searches. ``rho`` is
-also checked against exact rational arithmetic, and the call pattern that
-the benchmark's traced run counts is pinned here.
+also checked against exact rational arithmetic, ``threshold`` against the
+golden-section formulation it replaced, and the call pattern that the
+benchmark's traced run counts is pinned here.
 """
 
 import math
@@ -118,6 +119,21 @@ def test_induce_matches_reference(dist, eps):
 @_sparse_examples(lambda law: [law])
 def test_threshold_matches_reference(dist):
     assert threshold(dist) == ref.threshold(dist)
+
+
+@EXAMPLES
+@given(laws(min_degree=2))
+@example(parse_distribution("2:1.0"))
+@example(parse_distribution("2:0.75,3:0.25"))
+@example(parse_distribution("2:0.5,400:0.5"))
+@example(parse_distribution("3:0.9,30:0.1"))
+@_sparse_examples(lambda law: [law])
+def test_threshold_within_four_ulps_of_golden_section(dist):
+    # Newton on the stationarity condition and golden section on f itself
+    # reach the same infimum up to rounding: 1e-15 is about 4.5 units of
+    # 2**-52, relative
+    got, want = threshold(dist), ref.threshold_golden(dist)
+    assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import csa_floor
-from csa_floor.cli import main, parse_loads
+from csa_floor import cli
+from csa_floor.cli import ConfigError, main, parse_loads
 from csa_floor.harness import CSV_HEADER
 
 
@@ -233,26 +234,26 @@ _JSON_OUTPUTS = [
     (
         "optimize",
         ["optimize", "--support", "3,8", "--budget", "5", "--seed", "2"],
-        "f2c3442b2b8824343f1abf21c94bd39ff7babeb0751c432f2668d2dce4e121b1",
+        "81dd7e3f5bf4ca197457ced1079f9c43aa77acc33a35cd5db427c4542aec021a",
     ),
     # the 0.5 / lambda_2 threshold limit, eps > 0 and the refinement phase
     (
         "optimize-degree2-eps",
         ["optimize", "--support", "2,3,8", "--eps", "0.03", "--budget", "60", "--seed", "5"],
-        "94b1e656a7026709b071cbd2b80e5976746e3eb11a8a6b9a8c4d5943458a65ae",
+        "754a54ac47acc68bfd526e8b394aaa378eb6d6cf0b0d2cbac8eec1a87d1227c4",
     ),
     # m = 2 users: the classes of 3 and 4 users have rho 0
     (
         "optimize-two-users",
         ["optimize", "--support", "3,4", "--n", "7", "--g-target", "0.3", "--eps", "0.2"]
         + ["--budget", "20", "--seed", "1"],
-        "373b253cf28bc04e4fc648d07764bfebf767a3be6105ce3cd3d980e64d662f11",
+        "712d5c0ce2e2ea69d853675de5cb6c328dbf32034e42d8eee593613b8db29641",
     ),
-    # a sparse support: the threshold Horner loops skip ten of their eleven adds
+    # a sparse support: the threshold grid sums two powers of eleven coefficients
     (
         "optimize-sparse-support",
         ["optimize", "--support", "3,12", "--eps", "0.1", "--budget", "40", "--seed", "2"],
-        "d0f2cd9caeeba051eb160427a8745c3b37cee903fec6dceb4699b083cf065306",
+        "274c9ce5b9cc48c77837904c32addce7070dbc7e8cce6ac83ee6ad1b081bdde7",
     ),
 ]
 
@@ -376,6 +377,41 @@ class TestErrorPaths:
         # checked as simulate checks them, before g * n is rounded
         assert main(["predict", "--dist", "2:0.5,3:0.5", "--n", "200", f"--g={load}"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle", "--degrees=-1,2", "--n", "6"], ["oracle", "--sclass", "S5", "--n", "1"]],
+        ids=["negative-degree", "class-wider-than-frame"],
+    )
+    def test_oracle_bad_input_exits_1(self, capsys, argv):
+        # the class case divided 0 by 0 assignments and exited 2
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ConfigError,
+            csa_floor.harness.PlanError,
+            csa_floor.DistributionError,
+            csa_floor.distributions.DomainError,
+            csa_floor.DegreeOneUnsupported,
+            csa_floor.SlotCountTooSmall,
+            csa_floor.stopping_sets.TooFewUsers,
+            csa_floor.EnumerationTooLarge,
+        ],
+    )
+    def test_input_errors_share_the_base_class(self, error):
+        assert issubclass(error, csa_floor.CsaFloorError)
+
+    def test_internal_value_error_exits_2(self, capsys, monkeypatch):
+        # a ValueError that is no CsaFloorError is a fault, not bad input
+        def broken(dist):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "threshold", broken)
+        assert main(["threshold", "--dist", "2:1.0"]) == 2
+        assert "runtime failure" in capsys.readouterr().err
 
     def test_unwritable_output_exits_2(self, capsys):
         code = main(

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,15 +7,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from csa_floor.density_evolution import (
+    _GRID,
+    GRID_POINTS,
     DegreeOneUnsupported,
     de_fixed_point,
     threshold,
 )
-from csa_floor.distributions import ChannelModel, induce, validate
+from csa_floor.distributions import ChannelModel, induce, parse_distribution, validate
 
 PURE2 = validate([0, 0, 1.0])
 PURE3 = validate([0, 0, 0, 1.0])
 DENSE_GRID = 200_000
+# f has two local minima, near p = 0.72 and p = 0.98, within 1% in value
+BIMODAL = "3:0.9,30:0.1"
+ORACLE_SCAN = 20_000
+ORACLE_DIGITS = 40
+ORACLE_WIDTH = Decimal("1e-24")
 
 
 @st.composite
@@ -40,6 +48,46 @@ def dense_grid_threshold(dist):
     if lam[2] > 0.0:
         g_star = min(g_star, 1.0 / (2.0 * lam[2]))
     return min(1.0, g_star)
+
+
+def ratio(dist, p):
+    """f(p) = -ln(1-p) / sum_l l lambda_l p^(l-1) at the points of array p."""
+    lam = np.asarray(dist.probs)
+    return -np.log1p(-p) / sum(l * lam[l] * p ** (l - 1) for l in range(2, lam.size) if lam[l])
+
+
+def decimal_threshold(dist) -> Decimal:
+    """min(1, inf_p f(p)) to ORACLE_DIGITS digits, with Decimal.ln.
+
+    A float scan of ORACLE_SCAN points finds every local minimum of f; each
+    is refined by golden section in Decimal arithmetic on the exact binary
+    values of the law, and the p -> 0 limit 1 / (2 lambda_2) joins them.
+    """
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        terms = [(l, Decimal(lam)) for l, lam in enumerate(dist.probs) if lam]
+
+        def f(p):
+            return -(1 - p).ln() / sum(l * lam * p ** (l - 1) for l, lam in terms)
+
+        v = ratio(dist, np.arange(1, ORACLE_SCAN) / ORACLE_SCAN)
+        best = 1 / (2 * Decimal(dist.probs[2])) if dist.probs[2] else Decimal(1)
+        inv_phi = (Decimal(5).sqrt() - 1) / 2
+        for j in np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1:
+            a, b = Decimal(int(j)) / ORACLE_SCAN, Decimal(int(j) + 2) / ORACLE_SCAN  # p[j] +- 1/SCAN
+            c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+            fc, fd = f(c), f(d)
+            while b - a > ORACLE_WIDTH:
+                if fc < fd:
+                    b, d, fd = d, c, fc
+                    c = b - inv_phi * (b - a)
+                    fc = f(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + inv_phi * (b - a)
+                    fd = f(d)
+            best = min(best, fc, fd)
+        return min(best, Decimal(1))
 
 
 class TestFixedPoint:
@@ -116,6 +164,55 @@ class TestThreshold:
         if g_star < 1.0:
             above = de_fixed_point(dist, g_star * (1 + 1e-3))
             assert above.unresolved_fraction > 1e-8
+
+    @pytest.mark.parametrize(
+        "text", ["2:1.0", "3:1.0", "4:1.0", "2:0.25,3:0.6,8:0.15", "3:0.5,12:0.5", BIMODAL]
+    )
+    def test_matches_decimal_oracle(self, text):
+        dist = parse_distribution(text)
+        want = decimal_threshold(dist)
+        assert abs(Decimal(threshold(dist)) - want) <= Decimal("2e-15") * want
+
+    def test_decimal_oracle_sees_two_minima(self):
+        # BIMODAL's second local minimum is within 1% of its first
+        v = ratio(parse_distribution(BIMODAL), _GRID)
+        minima = np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])) + 1
+        assert len(minima) == 2
+        assert max(v[minima]) < 1.01 * min(v[minima])
+
+    # the dense grid's point nearest the minimum is above it by f'' dp^2 / 2,
+    # about 1e-11 relative, so only a threshold() above the infimum shows
+    @example(validate([0.0] * 12 + [1.0]))
+    @example(parse_distribution("2:0.75,3:0.25"))
+    @given(laws())
+    def test_no_dense_grid_point_beats_it(self, dist):
+        g_star = threshold(dist)
+        assert dense_grid_threshold(dist) >= g_star - math.ulp(g_star)
+
+    @pytest.mark.parametrize(
+        "text,argmin",
+        [
+            ("2:1.0", 0),  # the infimum is the p -> 0 limit
+            ("2:0.75,3:0.25", 0),  # f'(0) = 0: H(p) / p has a double root at 0
+            ("2:0.6,4:0.4", 0),
+            ("2:0.5,400:0.5", GRID_POINTS - 1),  # minimum at p = 1 - 3e-4
+            (BIMODAL, None),
+            ("3:0.89,30:0.11", None),  # the other minimum is the lower one
+        ],
+    )
+    def test_bracket_edges(self, text, argmin):
+        dist = parse_distribution(text)
+        v = ratio(dist, _GRID)
+        i = int(np.argmin(v))
+        if argmin is not None:
+            assert i == argmin
+        else:
+            assert 0 < i < GRID_POINTS - 1
+        g_star = threshold(dist)
+        assert math.isfinite(g_star)
+        assert g_star <= v[i]
+        want = decimal_threshold(dist)
+        assert abs(Decimal(g_star) - want) <= Decimal("2e-15") * want
 
     def test_reference_mixture_beats_pure_degree3(self, ref_dist):
         # the 0.25/0.6/0.15 mixture is known to have a higher threshold
