@@ -1,7 +1,7 @@
 """Coded slotted ALOHA over packet erasure channels: finite-length error-floor
 analysis, Monte Carlo simulation, and degree-distribution optimization."""
 
-from .decoder import DecodeOutcome, DegreeKeying, peel, unresolved_counts
+from .decoder import DecodeOutcome, DegreeKeying, peel
 from .density_evolution import DegreeOneUnsupported, DeResult, de_fixed_point, threshold
 from .distributions import (
     ChannelModel,
@@ -93,6 +93,5 @@ __all__ = [
     "run_sweep",
     "sample_frame",
     "threshold",
-    "unresolved_counts",
     "validate",
 ]

@@ -90,23 +90,3 @@ def peel(graph: FrameGraph, rng: np.random.Generator | None = None) -> DecodeOut
         residual=FrameGraph(n=graph.n, users=residual_users),
         iterations=iterations,
     )
-
-
-def unresolved_counts(
-    outcome: DecodeOutcome,
-    keyed_by: DegreeKeying = DegreeKeying.INDUCED,
-    q: int | None = None,
-) -> tuple[int, ...]:
-    """Count unresolved users grouped by induced or by original degree."""
-    if q is None:
-        q = max((u.original_degree for u in outcome.residual.users), default=0)
-        q = max(q, max((u.received_degree for u in outcome.residual.users), default=0))
-    counts = [0] * (q + 1)
-    for user in outcome.residual.users:
-        key = (
-            user.received_degree
-            if keyed_by is DegreeKeying.INDUCED
-            else user.original_degree
-        )
-        counts[key] += 1
-    return tuple(counts)

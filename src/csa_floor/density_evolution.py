@@ -14,7 +14,9 @@ leaves a vanishing unresolved fraction. A nonzero fixed point p exists at
 load g exactly when g = -ln(1 - p) / (dbar * lambda_e(p)), so g* is the
 infimum of that ratio over p in (0, 1). ``threshold`` computes it in that
 closed form: the ratio on a fixed grid, then a Newton solve of its
-stationarity condition between the grid argmin's neighbours.
+stationarity condition between the grid argmin's neighbours, and the same
+on a tail grid toward p = 1 when a lower bound of the ratio there allows a
+lower value.
 ``de_fixed_point`` keeps the recursion for traces and the unresolved
 fraction at a given load.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,12 @@ NEWTON_TOL = 1e-12
 _GRID_STEP = 1.0 / (GRID_POINTS + 1)
 _GRID = np.arange(1, GRID_POINTS + 1) / (GRID_POINTS + 1)
 _GRID_NUMERATOR = -np.log1p(-_GRID)
+# grid denominators above this leave every quotient finite
+_FINITE_DENOMINATOR = float(_GRID_NUMERATOR[-1]) / sys.float_info.max
+# past the grid: 1 - p halving from the last grid point's down to 9e-16
+_TAIL = 1.0 - (1.0 - _GRID[-1]) * 0.5 ** np.arange(1, 40)
+_TAIL_EDGES = np.concatenate((_GRID[-1:], _TAIL, [1.0])).tolist()
+_TAIL_NUMERATOR = -np.log1p(-_TAIL)
 
 
 @functools.cache
@@ -133,12 +142,16 @@ def threshold(dist: DegreeDistribution) -> float:
 
     g* is the infimum over p in (0, 1) of f(p) = -ln(1 - p) / P(p), with
     P(p) = sum_l l lambda_l p^(l-1), the load at which p is a fixed point of
-    the recursion. It is the smallest of three values: f's minimum over a
+    the recursion. It is the smallest of these values: f's minimum over a
     fixed grid of GRID_POINTS interior points, f at the stationary point
-    that a safeguarded Newton solve finds between the grid argmin's
-    neighbours, and the p -> 0 limit 1 / (2 lambda_2) when lambda_2 > 0,
-    which is where the infimum sits for degree-2-heavy laws. So it is never
-    above the grid minimum.
+    that a safeguarded Newton solve (``_newton_min``) finds between the grid
+    argmin's neighbours, and the p -> 0 limit 1 / (2 lambda_2) when
+    lambda_2 > 0, which is where the infimum sits for degree-2-heavy laws.
+    Past the last grid point f >= -ln(1 - p) / P(1), p at that point; when
+    this bound is below the value so far, as it can be for a law whose
+    mean degree is in the hundreds, f's minimum on ``_TAIL``, where 1 - p
+    halves 39 times, and Newton's around its argmin join them. So it is
+    never above the grid minimum.
 
     The grid sums the nonzero terms only, w_k * GRID**k with w_k the
     coefficient of p^k in P, from powers that ``_grid_power`` memoizes.
@@ -160,7 +173,11 @@ def threshold(dist: DegreeDistribution) -> float:
     values = w * _grid_power(k)
     for k, w in rest:
         values += w * _grid_power(k)
-    np.divide(_GRID_NUMERATOR, values, out=values)
+    if values[0] > _FINITE_DENOMINATOR:  # P rises with p: no quotient overflows
+        np.divide(_GRID_NUMERATOR, values, out=values)
+    else:  # powers underflow: f is infinite there, which never wins
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(_GRID_NUMERATOR, values, out=values)
     i = int(values.argmin())
     g_star = float(values[i])
 
@@ -174,6 +191,22 @@ def threshold(dist: DegreeDistribution) -> float:
         a = float(_GRID[i - 1]) if i else 0.0
         b = 1.0 if i else float(_GRID[1])
         x = float(_GRID[i])
+    g_star = min(g_star, _newton_min(terms, a, x, b))
+    if _GRID_NUMERATOR[-1] < g_star * sum(w for _, w in terms):
+        # past the last grid point f >= -ln(1 - p) / P(1), which may undercut g_star
+        with np.errstate(divide="ignore", over="ignore"):
+            tail = _TAIL_NUMERATOR / sum(w * _TAIL**k for k, w in terms)
+        j = int(tail.argmin())
+        a, x, b = _TAIL_EDGES[j : j + 3]
+        g_star = min(g_star, float(tail[j]), _newton_min(terms, a, x, b))
+    if dist.probs[2] > 0.0:
+        g_star = min(g_star, 0.5 / dist.probs[2])
+    return min(1.0, g_star)
+
+
+def _newton_min(terms, a: float, x: float, b: float) -> float:
+    """f at the stationary point that a safeguarded Newton solve on H(p) / p
+    finds in the bracket [a, b] from x, P being sum w p^k over ``terms``."""
     log1p = math.log1p
     while True:
         u = 1.0 - x
@@ -196,7 +229,4 @@ def threshold(dist: DegreeDistribution) -> float:
         x -= step
         if not a < x < b:
             x = 0.5 * (a + b)
-    g_star = min(g_star, -ln_u / poly)
-    if dist.probs[2] > 0.0:
-        g_star = min(g_star, 0.5 / dist.probs[2])
-    return min(1.0, g_star)
+    return -ln_u / poly

@@ -158,12 +158,3 @@ def multinomial_pmf(u, dist: DegreeDistribution, m: int) -> float:
             continue
         value *= dist.probs[l] ** c / math.factorial(c)
     return value
-
-
-def dump_frame(graph: FrameGraph) -> str:
-    """Debug text dump: header line, then one ``degree<TAB>slot,slot`` per user."""
-    lines = [f"n={graph.n}"]
-    for user in graph.users:
-        slots = ",".join(str(s) for s in sorted(user.slots))
-        lines.append(f"{user.original_degree}\t{slots}")
-    return "\n".join(lines)

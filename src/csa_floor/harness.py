@@ -36,6 +36,9 @@ over the block's residual user/slot edges, in numpy. Peeling leaves no
 singleton slot, so each residual component is a stopping set, and one small
 enough for the catalog takes the class of its signature
 (``stopping_sets.signature``), computed for all of them at once in numpy.
+A chunk returns one int64 record, its users and unresolved users per keyed
+degree and its residual components per ``HISTOGRAM_KEYS`` class, and the
+driver sums each load point's records into one row of counts.
 
 Each chunk stage has a reference path that tests compare it against on the
 same frames: ``sample_frame(cfg, frame_generator(seed, i, f))`` for
@@ -48,8 +51,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -59,7 +62,7 @@ from .distributions import ChannelModel, DegreeDistribution
 from .errors import CsaFloorError
 from .frame_model import draw_frame, round_half_up
 from .predictor import analytic_report
-from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL
+from .stopping_sets import CATALOG, DEGREE0_LABEL, MIN_FRAME_LENGTH, OTHER_LABEL
 
 CHUNK_FRAMES = 4096
 # words per block of every chunk kernel (2 MB of float64 uniforms): a block
@@ -70,6 +73,7 @@ SAMPLE_WORDS = 2**18
 MAX_ROW_REDRAWS = 64
 CSV_HEADER = "g,m,n,frames,degree,plr_sim,ci95,plr_analytic,keying"
 HISTOGRAM_KEYS = tuple(c.id for c in CATALOG) + (DEGREE0_LABEL, OTHER_LABEL)
+_DEGREE0, _OTHER = HISTOGRAM_KEYS.index(DEGREE0_LABEL), HISTOGRAM_KEYS.index(OTHER_LABEL)
 # residual components with more users than this can only be "Other"
 _MAX_CLASS_SIZE = max(c.size for c in CATALOG)
 # a small component's signature as one int: base-(_MAX_CLASS_SIZE + 1) digit
@@ -80,7 +84,8 @@ _MAX_DEGREE = max(c.max_degree for c in CATALOG)
 _DEGREE_KEY = np.array([0] + [(_MAX_CLASS_SIZE + 1) ** l for l in range(_MAX_DEGREE + 1)])
 _SLOT_KEY = (_MAX_CLASS_SIZE + 1) ** (_MAX_DEGREE + 1)
 _CLASS_BY_KEY = {
-    sum(int(_DEGREE_KEY[len(u)]) for u in c.topology) + _SLOT_KEY * c.signature[1]: c.id for c in CATALOG
+    sum(int(_DEGREE_KEY[len(u)]) for u in c.topology) + _SLOT_KEY * c.signature[1]: i
+    for i, c in enumerate(CATALOG)
 }
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -144,9 +149,10 @@ class SweepPlan:
     def __post_init__(self):
         if self.frames < 1:
             raise PlanError(f"frames must be >= 1, got {self.frames}")
-        # one frame's slots must fit int32 codes; _block_frames then fits blocks
-        if not 1 <= self.n < 2**31:
-            raise PlanError(f"n must be >= 1 and below 2**31 for int32 slot codes, got {self.n}")
+        # the analytic overlay's catalog beta formulas need MIN_FRAME_LENGTH slots;
+        # one frame's slots must fit int32 codes, and _block_frames then fits blocks
+        if not MIN_FRAME_LENGTH <= self.n < 2**31:
+            raise PlanError(f"n must be >= {MIN_FRAME_LENGTH} and below 2**31 for int32 slot codes, got {self.n}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise PlanError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.workers < 1:
@@ -158,8 +164,7 @@ class SweepPlan:
         if not loads:
             raise PlanError("need at least one load point")
         chunk = min(self.frames, CHUNK_FRAMES)
-        for g in loads:
-            m = load_users(g, self.n)
+        for g, m in zip(loads, self.users):
             # block-local user ids must fit the labeller's int32 labels and the
             # peel's 32 packed bits; per chunk, it also caps per-user arrays
             if chunk * m >= 2**31:
@@ -177,6 +182,11 @@ class SweepPlan:
                 f"degree-{l} users at n = {self.n} need {redraws:.0f} expected "
                 f"slot redraws per row, more than {MAX_ROW_REDRAWS}; raise n"
             )
+
+    @cached_property
+    def users(self) -> tuple[int, ...]:
+        """Users in a frame at each load, ``load_users(g, n)``."""
+        return tuple(load_users(g, self.n) for g in self.loads)
 
 
 @dataclass
@@ -520,20 +530,22 @@ def _component_labels(rcode, u_inv, nu: int, nslots: int) -> tuple[np.ndarray, i
         labels = new
 
 
-def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block) -> Counter:
-    """Histogram of residual component classes for a decoded chunk.
+def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block) -> np.ndarray:
+    """Residual components per class of a decoded chunk, as an int64 count
+    vector aligned to ``HISTOGRAM_KEYS``.
 
     A component lies in one frame, so each block is labelled on its own
     slots: the block-local codes of its residual edges, picked from
     ``codes[block_edges[i] : block_edges[i + 1]]`` for the i-th block as
     ``_peel_chunk`` returns them. Every residual component is a stopping
     set, so one of at most ``_MAX_CLASS_SIZE`` users is classified by its
-    signature alone, packed as a ``_CLASS_BY_KEY`` key: its users per
-    degree, one ``np.bincount`` on the labels weighted by ``_DEGREE_KEY``,
-    and its distinct slots, counted over the edges that win an owner write
-    to their slot, as ``_peel_chunk`` dedupes users.
+    signature alone, packed as a key that ``_CLASS_BY_KEY`` maps to its
+    catalog index: its users per degree, one ``np.bincount`` on the labels
+    weighted by ``_DEGREE_KEY``, and its distinct slots, counted over the
+    edges that win an owner write to their slot, as ``_peel_chunk`` dedupes
+    users. Larger components and keys outside the catalog count as Other.
     """
-    hist: Counter = Counter()
+    hist = np.zeros(len(HISTOGRAM_KEYS), dtype=np.int64)
     recv_flat = recv.reshape(B * m)
     degree0 = 0
     keys = [np.empty(0, dtype=np.int64)]
@@ -554,7 +566,7 @@ def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block)
         labels, _ = _component_labels(rcode, u_inv, users.size, (hi - lo) * n)
         sizes = np.bincount(labels, minlength=users.size)
 
-        hist[OTHER_LABEL] += int((sizes > _MAX_CLASS_SIZE).sum())
+        hist[_OTHER] += np.count_nonzero(sizes > _MAX_CLASS_SIZE)
 
         small = sizes[labels] <= _MAX_CLASS_SIZE
         weight = _DEGREE_KEY[np.minimum(degrees[small], _MAX_DEGREE + 1)]
@@ -567,15 +579,17 @@ def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block)
         slots = np.bincount(labels[u_inv[edges]][owner[scode] == rank], minlength=users.size)
         roots = (sizes > 0) & (sizes <= _MAX_CLASS_SIZE)
         keys.append(by_degree[roots].astype(np.int64) + _SLOT_KEY * slots[roots])
-    for key, count in zip(*np.unique(np.concatenate(keys), return_counts=True)):
-        hist[_CLASS_BY_KEY.get(int(key), OTHER_LABEL)] += int(count)
-    if degree0:
-        hist[DEGREE0_LABEL] += degree0
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        hist[_CLASS_BY_KEY.get(key, _OTHER)] += count
+    hist[_DEGREE0] = degree0
     return hist
 
 
 def _run_chunk(spec: _ChunkSpec):
-    """Worker entry point: returns (point_index, totals, unresolved, histogram)."""
+    """Worker entry point: returns (point_index, record), the record one int64
+    vector of users per keyed degree 0..q, unresolved users per keyed degree
+    0..q and ``_classify_residuals``' counts per ``HISTOGRAM_KEYS`` class."""
     q = len(spec.probs) - 1
     B = spec.frame_hi - spec.frame_lo
     block = _block_frames(spec)
@@ -583,15 +597,11 @@ def _run_chunk(spec: _ChunkSpec):
     resolved, block_edges = _peel_chunk(B, spec.m, spec.n, codes, recv, block)
     resolved_flat = resolved.reshape(-1)
 
-    keyed = recv if spec.keying == DegreeKeying.INDUCED.value else orig
-    keyed_flat = keyed.reshape(-1)
+    keyed = (recv if spec.keying == DegreeKeying.INDUCED.value else orig).reshape(-1)
     # counted one degree at a time: np.bincount casts int16 degrees to intp
-    totals, unresolved = (
-        np.array([np.count_nonzero(d == l) for l in range(q + 1)], dtype=np.int64)
-        for d in (keyed_flat, keyed_flat[~resolved_flat])
-    )
+    counts = [np.count_nonzero(d == l) for d in (keyed, keyed[~resolved_flat]) for l in range(q + 1)]
     hist = _classify_residuals(B, spec.m, spec.n, codes, recv, block_edges, resolved_flat, block)
-    return spec.point_index, totals, unresolved, hist
+    return spec.point_index, np.concatenate((np.array(counts, dtype=np.int64), hist))
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +610,7 @@ def _run_chunk(spec: _ChunkSpec):
 
 def _chunk_specs(plan: SweepPlan) -> list[_ChunkSpec]:
     specs = []
-    for point_index, g in enumerate(plan.loads):
-        m = round_half_up(g * plan.n)
+    for point_index, m in enumerate(plan.users):
         for lo in range(0, plan.frames, CHUNK_FRAMES):
             hi = min(lo + CHUNK_FRAMES, plan.frames)
             specs.append(
@@ -623,8 +632,9 @@ def _chunk_specs(plan: SweepPlan) -> list[_ChunkSpec]:
 def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     """Execute the plan and return one row per load point.
 
-    Results are bitwise identical for any worker count; output files are
-    written only after every point completes.
+    Each load point's row of counts is the sum of its chunks' records, in
+    integer arithmetic, so results are bitwise identical for any worker
+    count; output files are written only after every point completes.
     """
     q = plan.dist.q
     specs = _chunk_specs(plan)
@@ -634,41 +644,26 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
         with multiprocessing.get_context("fork").Pool(plan.workers) as pool:
             results = pool.map(_run_chunk, specs, chunksize=1)
     else:
-        results = [_run_chunk(spec) for spec in specs]
-
-    totals = {i: np.zeros(q + 1, dtype=np.int64) for i in range(len(plan.loads))}
-    unresolved = {i: np.zeros(q + 1, dtype=np.int64) for i in range(len(plan.loads))}
-    hists: dict[int, Counter] = {i: Counter() for i in range(len(plan.loads))}
-    for point_index, tot, unres, hist in results:
-        totals[point_index] += tot
-        unresolved[point_index] += unres
-        hists[point_index] += hist
+        results = map(_run_chunk, specs)
+    counts = np.zeros((len(plan.loads), 2 * (q + 1) + len(HISTOGRAM_KEYS)), dtype=np.int64)
+    for point_index, record in results:
+        counts[point_index] += record
 
     channel = ChannelModel(plan.epsilon)
     rows = []
-    for point_index, g in enumerate(plan.loads):
-        m = round_half_up(g * plan.n)
+    for g, m, row in zip(plan.loads, plan.users, counts.tolist()):
         report = analytic_report(m, plan.n, plan.dist, channel)
         analytic = (
             report.per_degree
             if plan.keying is DegreeKeying.INDUCED
             else report.user_perspective
         )
-        tot = totals[point_index]
-        unres = unresolved[point_index]
-        plr_sim = []
-        ci = []
-        for l in range(q + 1):
-            if tot[l] > 0:
-                est, half = confidence_interval(int(unres[l]), int(tot[l]))
-            else:
-                est, half = 0.0, 0.0
-            plr_sim.append(est)
-            ci.append(half)
+        tot, unres, hist = row[: q + 1], row[q + 1 : 2 * (q + 1)], row[2 * (q + 1) :]
+        # a degree no user drew reads 0 with no interval
+        plr_sim, ci = zip(*(confidence_interval(u, t) if t else (0.0, 0.0) for u, t in zip(unres, tot)))
         trials = plan.frames * m
-        avg_sim, avg_ci = confidence_interval(int(unres.sum()), trials)
-        hist = hists[point_index]
-        histogram = {key: int(hist.get(key, 0)) for key in HISTOGRAM_KEYS}
+        avg_sim, avg_ci = confidence_interval(sum(unres), trials)
+        histogram = dict(zip(HISTOGRAM_KEYS, hist))
         rates = {key: histogram[key] / plan.frames for key in HISTOGRAM_KEYS}
         rows.append(
             SweepRow(
@@ -677,10 +672,10 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
                 n=plan.n,
                 frames=plan.frames,
                 keying=plan.keying.value,
-                totals=tuple(int(t) for t in tot),
-                unresolved=tuple(int(u) for u in unres),
-                plr_sim=tuple(plr_sim),
-                ci95=tuple(ci),
+                totals=tuple(tot),
+                unresolved=tuple(unres),
+                plr_sim=plr_sim,
+                ci95=ci,
                 plr_analytic=tuple(analytic),
                 avg_sim=avg_sim,
                 avg_ci95=avg_ci,

@@ -3,10 +3,10 @@
 The score of a candidate distribution combines the asymptotic decoding
 threshold with the analytic error floor at a finite design point:
 
-    J = w_threshold * g*  +  w_floor * min(-log10(pbar), floor_log_cap) / 10
+    J = w_threshold * g*  +  w_floor * min(-log10(pbar), FLOOR_LOG_CAP) / 10
 
 Both terms live on a [0, 1]-ish scale: the threshold is a load in [0, 1] and
-the floor term maps loss rates down to 10^-floor_log_cap onto [0, 1]. Floors
+the floor term maps loss rates down to 10^-FLOOR_LOG_CAP onto [0, 1]. Floors
 predicted below the cap (including the exact zeros the catalog produces for
 distributions whose failures involve no degree-1..3 structure) earn no extra
 credit: such values are below the catalog's resolution, not real guarantees.
@@ -31,8 +31,9 @@ from .density_evolution import threshold
 from .errors import CsaFloorError
 from .frame_model import round_half_up
 from .predictor import average_plr, plr_per_degree
+from .stopping_sets import MIN_FRAME_LENGTH
 
-DEFAULT_FLOOR_LOG_CAP = 5.0
+FLOOR_LOG_CAP = 5.0
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class ObjectiveSpec:
     g_target: float = 0.5
     n: int = 200
     epsilon: float = 0.0
-    floor_log_cap: float = DEFAULT_FLOOR_LOG_CAP
 
     def __post_init__(self):
         support = tuple(sorted(set(int(d) for d in self.support)))
@@ -60,14 +60,12 @@ class ObjectiveSpec:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # false for NaN too
                 raise CsaFloorError(f"{name} must be finite and non-negative, got {value}")
-        if not 0.0 < self.floor_log_cap < math.inf:
-            raise CsaFloorError(f"floor_log_cap must be finite and positive, got {self.floor_log_cap}")
         if self.w_threshold + self.w_floor <= 0.0:
             raise CsaFloorError("at least one weight must be positive")
         if not 0.0 < self.g_target <= 2.0:
             raise CsaFloorError(f"g_target must be in (0, 2], got {self.g_target}")
-        if self.n < 4:
-            raise CsaFloorError(f"frame length must be >= 4, got {self.n}")
+        if self.n < MIN_FRAME_LENGTH:
+            raise CsaFloorError(f"frame length must be >= {MIN_FRAME_LENGTH}, got {self.n}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise CsaFloorError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.m < 1:
@@ -112,9 +110,9 @@ def objective(dist: DegreeDistribution, spec: ObjectiveSpec) -> float:
     p, _ = plr_per_degree(spec.m, spec.n, induced_dist)
     pbar = average_plr(p, induced_dist)
     if pbar <= 0.0:
-        floor_term = spec.floor_log_cap
+        floor_term = FLOOR_LOG_CAP
     else:
-        floor_term = min(-math.log10(pbar), spec.floor_log_cap)
+        floor_term = min(-math.log10(pbar), FLOOR_LOG_CAP)
     return spec.w_threshold * g_star + spec.w_floor * floor_term / 10.0
 
 

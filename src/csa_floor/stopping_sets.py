@@ -38,6 +38,8 @@ from .frame_model import FrameGraph, SlotCountTooSmall, UserRecord
 
 DEGREE0_LABEL = "Degree0"
 OTHER_LABEL = "Other"
+# frames shorter than the four slots of S7, the widest class, get no beta
+MIN_FRAME_LENGTH = 4
 
 
 class TooFewUsers(CsaFloorError):
@@ -140,16 +142,16 @@ def beta(sclass: StoppingSetClass, n: int) -> float:
     """
     value = sclass._beta_by_n.get(n)
     if value is None:
-        if n < 4:
-            raise SlotCountTooSmall(f"catalog beta formulas need n >= 4, got {n}")
+        if n < MIN_FRAME_LENGTH:
+            raise SlotCountTooSmall(f"catalog beta formulas need n >= {MIN_FRAME_LENGTH}, got {n}")
         value = sclass._beta_by_n[n] = float(sclass.beta_fn(n))
     return value
 
 
 def beta_exact(sclass: StoppingSetClass, n: int) -> Fraction:
     """Same formula as beta() evaluated in exact rational arithmetic."""
-    if n < 4:
-        raise SlotCountTooSmall(f"catalog beta formulas need n >= 4, got {n}")
+    if n < MIN_FRAME_LENGTH:
+        raise SlotCountTooSmall(f"catalog beta formulas need n >= {MIN_FRAME_LENGTH}, got {n}")
     return sclass.beta_fn(Fraction(n))
 
 

@@ -5,9 +5,10 @@ Each function evaluates its formula the direct way: ``rho`` through
 ``plr_per_degree`` by scanning every class profile at every degree,
 ``induce`` with the binomial coefficients and powers recomputed per term,
 ``threshold`` with a generator sum of ``w * GRID**k`` on the grid and a
-Newton closure for the refinement, ``average_plr`` over a generator of
-products, and ``to_distribution`` on the raw weights as given, numpy
-scalars included. The package's kernels precompute and reuse what these
+Newton closure for the refinement near the argmin and, when the bound
+``-ln(1 - p) / P(1)`` past the grid is below that, around the tail argmin,
+``average_plr`` over a generator of products, and ``to_distribution`` on
+the raw weights as given, numpy scalars included. The package's kernels precompute and reuse what these
 recompute and skip the adds of zero terms, with the same results in every
 bit, and ``test_analytic_kernels.py`` holds them to bitwise equality.
 
@@ -26,6 +27,8 @@ import numpy as np
 from csa_floor.density_evolution import (
     _GRID,
     _GRID_NUMERATOR,
+    _TAIL,
+    _TAIL_NUMERATOR,
     GRID_POINTS,
     NEWTON_TOL,
     _check_min_degree,
@@ -118,7 +121,8 @@ def to_distribution(weights, support: tuple[int, ...]) -> DegreeDistribution:
 def threshold(dist: DegreeDistribution) -> float:
     _check_min_degree(dist)
     terms = [(l - 1, l * lam) for l, lam in enumerate(dist.probs) if lam > 0.0]
-    values = _GRID_NUMERATOR / sum(w * _GRID**k for k, w in terms)
+    with np.errstate(divide="ignore", over="ignore"):
+        values = _GRID_NUMERATOR / sum(w * _GRID**k for k, w in terms)
     i = int(np.argmin(values))
 
     def f(p: float) -> float:
@@ -133,6 +137,20 @@ def threshold(dist: DegreeDistribution) -> float:
         slope = ln_u * dh - h
         return h, h * p / slope if slope else math.inf
 
+    def refine(a: float, x: float, b: float) -> float:
+        """f where the safeguarded Newton solve in [a, b] from x stops."""
+        while True:
+            h, step = newton(x)
+            if h < 0.0:
+                a = x
+            else:
+                b = x
+            if abs(step) <= NEWTON_TOL or b - a <= NEWTON_TOL:
+                return f(x)
+            x -= step
+            if not a < x < b:
+                x = 0.5 * (a + b)
+
     a = float(_GRID[i - 1]) if i > 0 else 0.0
     b = float(_GRID[i + 1]) if i + 1 < GRID_POINTS else 1.0
     x = float(_GRID[i])
@@ -140,18 +158,13 @@ def threshold(dist: DegreeDistribution) -> float:
         left, mid, right = float(values[i - 1]), float(values[i]), float(values[i + 1])
         if left - 2.0 * mid + right > 0.0:
             x += 1.0 / (GRID_POINTS + 1) * 0.5 * (left - right) / (left - 2.0 * mid + right)
-    while True:
-        h, step = newton(x)
-        if h < 0.0:
-            a = x
-        else:
-            b = x
-        if abs(step) <= NEWTON_TOL or b - a <= NEWTON_TOL:
-            break
-        x -= step
-        if not a < x < b:
-            x = 0.5 * (a + b)
-    g_star = min(float(values[i]), f(x))
+    g_star = min(float(values[i]), refine(a, x, b))
+    if _GRID_NUMERATOR[-1] < g_star * sum(w for _, w in terms):
+        with np.errstate(divide="ignore", over="ignore"):
+            tail = _TAIL_NUMERATOR / sum(w * _TAIL**k for k, w in terms)
+        j = int(np.argmin(tail))
+        edges = [float(_GRID[-1]), *_TAIL.tolist(), 1.0]
+        g_star = min(g_star, float(tail[j]), refine(edges[j], edges[j + 1], edges[j + 2]))
     if dist.probs[2] > 0.0:
         g_star = min(g_star, 0.5 / dist.probs[2])
     return min(1.0, g_star)

@@ -116,6 +116,8 @@ def test_induce_matches_reference(dist, eps):
 @example(parse_distribution("2:1.0"))
 @example(parse_distribution("2:0.25,3:0.6,8:0.15"))
 @example(parse_distribution("3:0.5,8:0.5"))
+@example(parse_distribution("2:0.5,20000:0.5"))  # a minimum past the last grid point
+@example(parse_distribution("20000:1.0"))  # grid powers underflow
 @_sparse_examples(lambda law: [law])
 def test_threshold_matches_reference(dist):
     assert threshold(dist) == ref.threshold(dist)

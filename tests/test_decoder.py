@@ -1,6 +1,6 @@
 import numpy as np
 
-from csa_floor.decoder import DegreeKeying, peel, unresolved_counts
+from csa_floor.decoder import peel
 from csa_floor.distributions import ChannelModel, validate
 from csa_floor.frame_model import FrameConfig, FrameGraph, UserRecord, sample_frame
 
@@ -93,20 +93,3 @@ class TestPeelProperties:
     def test_lone_degree1_users_resolved(self):
         out = peel(graph_from_slots(6, {0}, {3}, {5}))
         assert out.resolved == (True, True, True)
-
-
-class TestUnresolvedCounts:
-    def test_all_resolved_gives_zero_vector(self):
-        out = peel(graph_from_slots(5, {1, 2}, {2, 3}))
-        assert unresolved_counts(out, DegreeKeying.INDUCED, q=3) == (0, 0, 0, 0)
-
-    def test_s5_residual_counts_two_at_degree2(self):
-        out = peel(graph_from_slots(5, {1, 2}, {1, 2}))
-        assert unresolved_counts(out, DegreeKeying.INDUCED, q=2) == (0, 0, 2)
-
-    def test_keying_distinguishes_erased_user(self):
-        # original degree 3, every copy erased
-        graph = graph_from_slots(6, set(), degrees=[3])
-        out = peel(graph)
-        assert unresolved_counts(out, DegreeKeying.INDUCED, q=3) == (1, 0, 0, 0)
-        assert unresolved_counts(out, DegreeKeying.ORIGINAL, q=3) == (0, 0, 0, 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -72,22 +73,45 @@ def decimal_threshold(dist) -> Decimal:
 
         v = ratio(dist, np.arange(1, ORACLE_SCAN) / ORACLE_SCAN)
         best = 1 / (2 * Decimal(dist.probs[2])) if dist.probs[2] else Decimal(1)
-        inv_phi = (Decimal(5).sqrt() - 1) / 2
         for j in np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1:
             a, b = Decimal(int(j)) / ORACLE_SCAN, Decimal(int(j) + 2) / ORACLE_SCAN  # p[j] +- 1/SCAN
-            c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-            fc, fd = f(c), f(d)
-            while b - a > ORACLE_WIDTH:
-                if fc < fd:
-                    b, d, fd = d, c, fc
-                    c = b - inv_phi * (b - a)
-                    fc = f(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + inv_phi * (b - a)
-                    fd = f(d)
-            best = min(best, fc, fd)
+            best = min(best, golden_minimum(f, a, b))
         return min(best, Decimal(1))
+
+
+def decimal_tail_minimum(dist) -> Decimal:
+    """f's minimum over 1 - p in [1e-12, 1e-2] to ORACLE_DIGITS digits: a
+    float scan uniform in -log10(1 - p), then golden section in Decimal
+    arithmetic between the scan's neighbours of its argmin."""
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        terms = [(l, Decimal(lam)) for l, lam in enumerate(dist.probs) if lam]
+
+        def f(p):
+            return -(1 - p).ln() / sum(l * lam * p ** (l - 1) for l, lam in terms)
+
+        p = 1.0 - 10.0 ** -np.linspace(2.0, 12.0, ORACLE_SCAN)
+        j = int(np.argmin(ratio(dist, p)))
+        assert 0 < j < ORACLE_SCAN - 1
+        return golden_minimum(f, Decimal(p[j - 1]), Decimal(p[j + 1]))
+
+
+def golden_minimum(f, a: Decimal, b: Decimal) -> Decimal:
+    """f's minimum on [a, b] by golden section down to ORACLE_WIDTH, in the
+    caller's Decimal context."""
+    inv_phi = (Decimal(5).sqrt() - 1) / 2
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > ORACLE_WIDTH:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return min(fc, fd)
 
 
 class TestFixedPoint:
@@ -213,6 +237,30 @@ class TestThreshold:
         assert g_star <= v[i]
         want = decimal_threshold(dist)
         assert abs(Decimal(g_star) - want) <= Decimal("2e-15") * want
+
+    @pytest.mark.parametrize(
+        "text,falls_at_last_point",
+        [
+            ("2:0.5,20000:0.5", True),
+            ("2:0.9,20000:0.1", False),  # f rises at the last grid point, then dips
+            ("3:0.9,20000:0.1", False),
+        ],
+    )
+    def test_minimum_past_the_last_grid_point(self, text, falls_at_last_point):
+        # f's minimum lies near 1 - p = 4e-6, past the grid and far below the
+        # grid minimum, which is not the last grid point
+        dist = parse_distribution(text)
+        v = ratio(dist, _GRID)
+        assert int(np.argmin(v)) < GRID_POINTS - 1 and (v[-1] < v[-2]) == falls_at_last_point
+        want = decimal_tail_minimum(dist)
+        assert want < Decimal(0.1 * v.min())
+        assert abs(Decimal(threshold(dist)) - want) <= Decimal("2e-15") * want
+
+    def test_underflowing_grid_powers_warn_nothing(self):
+        # GRID**19999 underflows to 0 on most of the grid, where f is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert threshold(parse_distribution("20000:1.0")) < 0.001
 
     def test_reference_mixture_beats_pure_degree3(self, ref_dist):
         # the 0.25/0.6/0.15 mixture is known to have a higher threshold

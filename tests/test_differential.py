@@ -21,6 +21,7 @@ from csa_floor.decoder import peel
 from csa_floor.distributions import ChannelModel, DegreeDistribution
 from csa_floor.frame_model import FrameConfig, round_half_up, sample_frame
 from csa_floor.harness import (
+    HISTOGRAM_KEYS,
     _ChunkSpec,
     _block_frames,
     _classify_residuals,
@@ -67,7 +68,7 @@ def _check_chunk_against_reference(spec, cfg):
     _check_block_local(codes, indptr, n, m, B, block)
     resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
     _check_block_edges(block_edges, indptr, m, B, block)
-    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block)
+    hist = _class_counts(_classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block))
 
     expected_hist = Counter()
     for row in range(B):
@@ -80,6 +81,13 @@ def _check_chunk_against_reference(spec, cfg):
         expected_hist.update(classify(c) for c in components(outcome.residual))
     assert +hist == expected_hist
     return hist, resolved
+
+
+def _class_counts(hist):
+    """``_classify_residuals``' count vector as a Counter of its non-zero
+    classes, the form ``stopping_sets.classify`` labels add up to."""
+    assert hist.dtype == np.int64 and hist.shape == (len(HISTOGRAM_KEYS),)
+    return Counter({key: count for key, count in zip(HISTOGRAM_KEYS, hist.tolist()) if count})
 
 
 def _check_block_local(codes, indptr, n, m, B, block):
@@ -271,7 +279,7 @@ def test_packed_slot_state_exact_past_32_bit_index_sums():
     expected[0, [0, m - 1]] = True
     assert np.array_equal(resolved, expected)
     _check_block_edges(block_edges, np.concatenate(([0], np.cumsum(recv))), m, 1, 1)
-    hist = _classify_residuals(1, m, n, codes, recv, block_edges, resolved.reshape(-1), 1)
+    hist = _class_counts(_classify_residuals(1, m, n, codes, recv, block_edges, resolved.reshape(-1), 1))
     assert hist == {"Other": 1}  # users 1..m-2, all joined through slots 0 and 1
 
 
@@ -291,7 +299,7 @@ def test_catalog_look_alikes_classified_as_other():
     codes = np.array([s for row in slots for s in row], dtype=np.int32)
     resolved, block_edges = _peel_chunk(1, m, n, codes, recv, 1)
     assert not resolved.any()
-    hist = _classify_residuals(1, m, n, codes, recv, block_edges, resolved.reshape(-1), 1)
+    hist = _class_counts(_classify_residuals(1, m, n, codes, recv, block_edges, resolved.reshape(-1), 1))
     assert hist == {"Other": 2, "S6": 1, "S7": 1}
 
 
@@ -406,7 +414,7 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
     _check_block_local(codes, indptr, n, m, B, block)
     resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
     _check_block_edges(block_edges, indptr, m, B, block)
-    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block)
+    hist = _class_counts(_classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block))
 
     expected_hist = Counter()
     cfg = FrameConfig(m=m, n=n, dist=dist, channel=ChannelModel(eps))
@@ -461,7 +469,7 @@ def _decoded_chunk(spec):
     block = _block_frames(spec)
     orig, recv, codes = _sample_chunk(spec)
     resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
-    hist = _classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block)
+    hist = _class_counts(_classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block))
     edge_frame = np.repeat(np.arange(B), recv.sum(axis=1))
     frame = edge_frame // block * block + codes // n
     assert np.array_equal(frame, edge_frame)

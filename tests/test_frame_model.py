@@ -8,7 +8,6 @@ from csa_floor.distributions import ChannelModel, induce, validate
 from csa_floor.frame_model import (
     FrameConfig,
     SlotCountTooSmall,
-    dump_frame,
     multinomial_pmf,
     profile,
     sample_frame,
@@ -112,13 +111,3 @@ class TestStatistics:
             expect = m * induced.probs[l]
             se = math.sqrt(m * induced.probs[l] * (1 - induced.probs[l]) / frames)
             assert abs(mean - expect) <= 3 * se + 1e-9, (l, mean, expect, se)
-
-
-def test_dump_frame_format(rng):
-    graph = sample_frame(_config(2, 4, [0, 0, 1.0]), rng)
-    text = dump_frame(graph)
-    lines = text.splitlines()
-    assert lines[0] == "n=4"
-    assert len(lines) == 3
-    degree, slots = lines[1].split("\t")
-    assert degree == "2" and len(slots.split(",")) == 2

@@ -21,6 +21,7 @@ from csa_floor.harness import (
     _chunk_specs,
     _classify_residuals,
     _peel_chunk,
+    _run_chunk,
     _sample_chunk,
     confidence_interval,
     csv_lines,
@@ -85,6 +86,12 @@ class TestPlanValidation:
         # a masked seed would silently reuse another seed's streams
         with pytest.raises(PlanError, match="seed"):
             SweepPlan(dist=ref_dist, n=200, epsilon=0.0, loads=(0.5,), frames=10, seed=seed)
+
+    def test_frame_shorter_than_catalog_rejected(self):
+        # the analytic overlay's beta formulas need 4 slots; the plan must
+        # fail before any frame is simulated, not after all of them
+        with pytest.raises(PlanError, match="n must be >= 4"):
+            SweepPlan(dist=parse_distribution("2:1.0"), n=3, epsilon=0.0, loads=(0.6,), frames=400_000)
 
     def test_load_rounding_to_zero_users(self, ref_dist):
         with pytest.raises(PlanError, match="zero users"):
@@ -221,6 +228,21 @@ class TestRunSweep:
         assert sum(induced_row.unresolved) == sum(original_row.unresolved)
         # user-perspective analytics accompany original keying
         assert original_row.plr_analytic[2] >= induced_row.plr_analytic[2]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.03])
+    def test_chunk_records_sum_to_rows(self, ref_dist, eps):
+        # two loads of two chunks each, the second one partial
+        plan = SweepPlan(dist=ref_dist, n=50, epsilon=eps, loads=(0.5, 0.9), frames=5000, seed=4)
+        width = 2 * (ref_dist.q + 1) + len(HISTOGRAM_KEYS)
+        sums = np.zeros((len(plan.loads), width), dtype=np.int64)
+        for spec in _chunk_specs(plan):
+            point_index, record = _run_chunk(spec)
+            assert record.dtype == np.int64 and record.shape == (width,)
+            sums[point_index] += record
+        rows = run_sweep(plan)
+        for counts, row in zip(sums.tolist(), rows):
+            assert counts == [*row.totals, *row.unresolved, *(row.histogram[k] for k in HISTOGRAM_KEYS)]
+        assert rows[1].histogram["Other"] > 0 and (rows[0].histogram["Degree0"] > 0) == (eps > 0.0)
 
     def test_four_user_s3_components_counted(self):
         # S3 (a degree-3 user covered by three degree-1 users) is the largest
