@@ -115,7 +115,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-json", default=None)
 
-    p = sub.add_parser("oracle", help="exact brute-force enumeration")
+    p = sub.add_parser("oracle", help="exact rational ground truth")
     p.add_argument("--sclass", default=None, help="catalog id S1..S8")
     p.add_argument("--degrees", default=None, help="user degree multiset, e.g. 2,2,2")
     p.add_argument("--n", type=int, required=True)

@@ -1,27 +1,28 @@
-"""Exact brute-force ground truth for small stopping-set instances.
+"""Exact rational ground truth for stopping-set probabilities.
 
-Everything here counts joint slot assignments in exact rational
-arithmetic, so catalog formulas can be checked by equality rather than
-tolerance. ``exact_beta`` enumerates the assignments that realize a class
-topology, one per label-to-slot map. ``exact_event_probabilities``
-enumerates every joint assignment and decodes and labels each by the
-reference path: ``decoder.peel``, then ``stopping_sets.components`` and
-``classify`` on the residual. It exists for tests and manual exploration;
-the predictor never calls it.
+Everything here is exact rational arithmetic, so catalog formulas can be
+checked by equality rather than tolerance. ``exact_beta`` counts the joint
+slot assignments that realize a class topology in closed form, from the
+topology's symmetries, so it answers at any frame length.
+``exact_event_probabilities`` enumerates every joint assignment of a small
+instance and decodes and labels each by the reference path:
+``decoder.peel``, then ``stopping_sets.components`` and ``classify`` on the
+residual. It exists for tests and manual exploration; the predictor never
+calls it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .decoder import peel
 from .errors import CsaFloorError
 from .frame_model import FrameGraph, SlotCountTooSmall, UserRecord
-from .stopping_sets import CATALOG_BY_ID, StoppingSetClass, classify, components
+from .stopping_sets import StoppingSetClass, classify, components
 
 MAX_ENUMERATION = 10**8
 
@@ -30,52 +31,37 @@ class EnumerationTooLarge(CsaFloorError):
     """Joint assignment space exceeds MAX_ENUMERATION."""
 
 
-def _assignment_space(degrees: tuple[int, ...], n: int) -> int:
-    size = 1
-    for l in degrees:
-        size *= math.comb(n, l)
-    return size
-
-
-def _check_size(size: int, what: str):
-    if size > MAX_ENUMERATION:
-        raise EnumerationTooLarge(f"{size} {what} exceed the {MAX_ENUMERATION} cap")
-
-
-def _matching_assignments(sclass: StoppingSetClass, n: int) -> frozenset:
-    """Every ordered joint assignment realizing the class topology.
-
-    Assignments are tuples of per-user sorted slot tuples, users in topology
-    order, from every injective label-to-slot map. For the catalog classes
-    S1-S8 that also covers every permutation among equal-degree users,
-    because each such permutation is a relabelling of the topology. It is
-    not so for topologies in general: in the degree-2 4-cycle, swapping two
-    adjacent users is no relabelling, and those assignments are missed.
-    """
-    labels = sorted({l for u in sclass.topology for l in u})
-    _check_size(math.perm(n, len(labels)), f"label maps for class {sclass.id} at n = {n}")
-    out = set()
-    for slots in permutations(range(n), len(labels)):
-        relabel = dict(zip(labels, slots))
-        out.add(
-            tuple(tuple(sorted(relabel[l] for l in u)) for u in sclass.topology)
-        )
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _exact_beta(class_id: str, n: int) -> Fraction:
-    sclass = CATALOG_BY_ID[class_id]
-    degrees = tuple(len(u) for u in sclass.topology)
-    return Fraction(len(_matching_assignments(sclass, n)), _assignment_space(degrees, n))
+def _assignment_space(degrees, n: int) -> int:
+    return math.prod(math.comb(n, l) for l in degrees)
 
 
 def exact_beta(sclass: StoppingSetClass, n: int) -> Fraction:
-    """Exact probability that the class's users land exactly on its topology:
-    the assignments that realize it over all assignments of its degrees."""
+    """Exact probability that the class's users, each drawn uniformly among
+    the slot sets of its degree in topology order, land on a relabelling of
+    its topology.
+
+    Two of the ``perm(n, k)`` maps of the ``k`` slot labels into the frame
+    give the same multiset of slot sets exactly when they differ by one of
+    the ``|Aut|`` label permutations that map the topology's users onto
+    themselves. Each multiset is drawn in ``prod_d c_d! / prod_S mult_S!``
+    user orders, where ``c_d`` counts the users of degree ``d`` and
+    ``mult_S`` those on the slot-label set ``S``.
+    """
     if n < sclass.max_degree:
         raise SlotCountTooSmall(f"class {sclass.id} needs n >= {sclass.max_degree}, got {n}")
-    return _exact_beta(sclass.id, n)
+    users = Counter(sclass.topology)
+    labels = sorted(frozenset().union(*users))
+    automorphisms = sum(
+        Counter(frozenset(relabel[l] for l in u) for u in sclass.topology) == users
+        for relabel in (dict(zip(labels, p)) for p in permutations(labels))
+    )
+    degrees = [len(u) for u in sclass.topology]
+    orders = math.prod(map(math.factorial, Counter(degrees).values()))
+    repeats = math.prod(map(math.factorial, users.values()))
+    return Fraction(
+        math.perm(n, len(labels)) * orders,
+        automorphisms * repeats * _assignment_space(degrees, n),
+    )
 
 
 @dataclass(frozen=True)
@@ -102,7 +88,11 @@ def exact_event_probabilities(degrees, n: int) -> ExactEventTally:
     if any(d > n for d in degrees):
         raise CsaFloorError(f"degree larger than slot count {n}: {degrees}")
     total = _assignment_space(degrees, n)
-    _check_size(total, f"joint assignments for degrees {degrees} at n = {n}")
+    if total > MAX_ENUMERATION:
+        raise EnumerationTooLarge(
+            f"{total} joint assignments for degrees {degrees} at n = {n}"
+            f" exceed the {MAX_ENUMERATION} cap"
+        )
 
     unresolved_counts: dict[int, int] = {}
     label_counts: dict[str, int] = {}

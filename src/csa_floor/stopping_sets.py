@@ -138,13 +138,13 @@ CATALOG_BY_SIGNATURE: dict[tuple, StoppingSetClass] = {c.signature: c for c in C
 def beta(sclass: StoppingSetClass, n: int) -> float:
     """Placement probability of the class in a frame with n slots.
 
-    The formula is evaluated once per (class, n) and then read back.
+    ``beta_exact`` rounded to the nearest float once per (class, n) and
+    then read back; each formula is one int/int division, so this is the
+    float it gives on an int n.
     """
     value = sclass._beta_by_n.get(n)
     if value is None:
-        if n < MIN_FRAME_LENGTH:
-            raise SlotCountTooSmall(f"catalog beta formulas need n >= {MIN_FRAME_LENGTH}, got {n}")
-        value = sclass._beta_by_n[n] = float(sclass.beta_fn(n))
+        value = sclass._beta_by_n[n] = float(beta_exact(sclass, n))
     return value
 
 

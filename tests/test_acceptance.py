@@ -114,19 +114,20 @@ def test_criterion_2_beta_formula_fidelity():
 
 
 def test_criterion_3_oracle_equivalence():
-    for n in (6, 8, 12):
+    for n in (6, 8, 12, 200):
         for cid in ("S1", "S2", "S3", "S4", "S5", "S8"):
             sclass = CATALOG_BY_ID[cid]
             assert exact_beta(sclass, n) == beta_exact(sclass, n), (cid, n)
         s7 = CATALOG_BY_ID["S7"]
         assert exact_beta(s7, n) / beta_exact(s7, n) == Fraction(n, n - 1), n
         s6 = CATALOG_BY_ID["S6"]
+        assert exact_beta(s6, n) == Fraction(8 * (n - 2), n**2 * (n - 1) ** 2), n
         ratio = exact_beta(s6, n) / beta_exact(s6, n)
         assert Fraction(3, 2) <= ratio <= Fraction(3, 1), (n, ratio)
     _report(
         3,
-        "S1-S5,S8 exact; S7 off by exactly n/(n-1); S6 enumeration/printed "
-        "ratio recorded inside [1.5, 3.0]",
+        "S1-S5,S8 exact; S7 off by exactly n/(n-1); S6 exact count "
+        "8(n-2)/(n^2 (n-1)^2), its ratio to the printed form inside [1.5, 3.0]",
     )
 
 

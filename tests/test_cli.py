@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +282,20 @@ class TestOracle:
 
     def test_requires_exactly_one_mode(self, capsys):
         assert main(["oracle", "--n", "6"]) == 1
+
+
+# README lines `csa-floor <args>  # -> <text>`: running <args> prints <text>
+_README_EXAMPLES = re.findall(
+    r"^csa-floor (.+?)\s+# -> (.+)$",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.MULTILINE,
+)
+
+
+@pytest.mark.parametrize("args,text", _README_EXAMPLES, ids=[a for a, _ in _README_EXAMPLES])
+def test_readme_examples(capsys, args, text):
+    assert main(shlex.split(args)) == 0
+    assert text in capsys.readouterr().out
 
 
 class TestErrorPaths:

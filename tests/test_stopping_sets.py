@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from scipy.stats import binom
@@ -8,7 +8,6 @@ from scipy.stats import binom
 from csa_floor.decoder import peel
 from csa_floor.distributions import validate
 from csa_floor.frame_model import FrameGraph, SlotCountTooSmall, UserRecord
-from csa_floor.oracle import _matching_assignments
 from csa_floor.stopping_sets import (
     CATALOG,
     CATALOG_BY_ID,
@@ -22,6 +21,18 @@ from csa_floor.stopping_sets import (
     is_stopping_set,
     rho,
 )
+
+
+def relabelling_images(sclass, n):
+    """Every assignment, users in topology order as sorted slot tuples, that
+    an injective map of the class's slot labels into range(n) makes of its
+    topology."""
+    labels = sorted(frozenset().union(*sclass.topology))
+    images = set()
+    for slots in permutations(range(n), len(labels)):
+        relabel = dict(zip(labels, slots))
+        images.add(tuple(tuple(sorted(relabel[l] for l in u)) for u in sclass.topology))
+    return images
 
 
 def build(n, *slot_sets):
@@ -183,7 +194,7 @@ class TestClassify:
         # relabelling of C's topology, and Other otherwise
         n = 5
         class_of = {
-            tuple(sorted(a)): c.id for c in CATALOG for a in _matching_assignments(c, n)
+            tuple(sorted(a)): c.id for c in CATALOG for a in relabelling_images(c, n)
         }
         count = 0
         for k in range(1, 5):
