@@ -16,22 +16,24 @@ across the block, reading each frame's words in the order
 buffer row is drawn by ``draw_frame`` itself. The sampler reaches the
 same frames by other arithmetic: a degree is a sum of compares against the
 distinct CDF values, and a repeated slot is found by comparing the slot
-columns pairwise on a column-major copy. A chunk's graph is one int32 per
-edge, in (frame, user, column) order: the block-local slot code
-``(frame - block_lo) * n + slot``, which each block writes straight into
-the chunk's one code array; each edge's user follows from the received
-degrees. So a chunk's memory is its codes, its int16 degree arrays (one
-when nothing is erased) and the working set of one block, bounded at any n.
+columns pairwise on a column-major copy. A chunk's graph is one
+frame-local slot per edge, in (frame, user, column) order, stored in the
+narrowest dtype that holds n - 1 (``np.min_scalar_type(n - 1)``: a byte up
+to n = 256), which each block writes straight into the chunk's one code
+array; each edge's frame and user follow from the received degrees. So a
+chunk's memory is its slots, its int16 degree arrays (one when nothing is
+erased) and the working set of one block, bounded at any n.
 
 A stopping set never leaves its frame, so decoding is block-local: each
-block is peeled and labelled on state sized to the block, straight from
-its slice of the codes, which the block's received degrees delimit. One
-packed int64 per slot holds its occupancy in the high bits and the sum of
-its users' block-local ids in the low 32, which name the user of any
-singleton slot. Each peeling
-wave resolves the users of the current singleton slots and updates the
-packed counters of their edges in one scatter, in time proportional to the
-edges it removes. Residual components are labelled by min-label propagation
+block is peeled and labelled on state sized to the block, indexed by the
+intp block-local code ``(frame - block_lo) * n + slot`` of each edge in its
+slice of the slots, which the block's received degrees delimit; the cast
+to intp adds each frame's offset over its edges, so no arithmetic runs in
+the slots' own dtype. One packed int64 per slot holds its occupancy in the
+high bits and the sum of its users' block-local ids in the low 32, which
+name the user of any singleton slot. Each peeling wave resolves the users
+of the current singleton slots and updates the packed counters of their
+edges in one scatter, in time proportional to the edges it removes. Residual components are labelled by min-label propagation
 over the block's residual user/slot edges, in numpy. Peeling leaves no
 singleton slot, so each residual component is a stopping set, and one small
 enough for the catalog takes the class of its signature
@@ -150,9 +152,10 @@ class SweepPlan:
         if self.frames < 1:
             raise PlanError(f"frames must be >= 1, got {self.frames}")
         # the analytic overlay's catalog beta formulas need MIN_FRAME_LENGTH slots;
-        # one frame's slots must fit int32 codes, and _block_frames then fits blocks
+        # below 2**31 a frame's slots fit uint32 (numpy adds uint64 to intp in
+        # float64), and _block_frames keeps a block's slot codes below 2**31
         if not MIN_FRAME_LENGTH <= self.n < 2**31:
-            raise PlanError(f"n must be >= {MIN_FRAME_LENGTH} and below 2**31 for int32 slot codes, got {self.n}")
+            raise PlanError(f"n must be >= {MIN_FRAME_LENGTH} and below 2**31 for block-local slot codes, got {self.n}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise PlanError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.workers < 1:
@@ -282,7 +285,8 @@ def _row_redraws(l: int, n: int) -> float:
 def _block_frames(spec: _ChunkSpec) -> int:
     """Frames per block of every chunk kernel: ``SAMPLE_WORDS`` words over
     the wider of a frame's sampler row and its n slots, at least one, and
-    few enough that a block's slot codes fit int32."""
+    few enough that a block's slot codes ``(frame - block_lo) * n + slot``
+    stay below 2**31."""
     q = len(spec.probs) - 1
     width = _first_words(q, spec.m, spec.epsilon) + _spare_words(spec.probs, spec.n, spec.m)
     return min(max(1, SAMPLE_WORDS // max(width, spec.n)), (2**31 - 1) // spec.n)
@@ -332,17 +336,19 @@ def _degrees(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps, spare):
     """Frames frame_lo..frame_lo+B-1, each exactly ``frame_model.draw_frame``
-    on its stream, as (degrees (B, m), received degrees (B, m), codes
-    (B, m, q), survive (B, m, q)): row f's codes are its slots plus
-    ``f * n``, and ``survive`` marks the surviving copies.
+    on its stream, as (degrees (B, m), received degrees (B, m), slots
+    (B, m, q), survive (B, m, q)): each frame's own slots, in
+    ``np.min_scalar_type(n - 1)``, and ``survive`` marks the surviving
+    copies.
 
     One buffer row per frame holds its first-draw uniforms (degrees, slots,
     erasures) then ``spare`` more; everything after the fill runs across
     the block. Degrees are sums of CDF compares (``_degrees``) and repeats
     are found on a column-major (q, B, m) copy of the slots
-    (``_has_repeat``). In each redraw round the k-th repeating row of frame
-    f takes the q words from ``pos[f] + k*q``, the order ``draw_frame``
-    reads them. A frame whose redraws outrun its row leaves the rounds and
+    (``_has_repeat``); slots are drawn, compared and redrawn in their narrow
+    dtype, which ``x * n`` is cast to. In each redraw round the k-th
+    repeating row of frame f takes the q words from ``pos[f] + k*q``, the
+    order ``draw_frame`` reads them. A frame whose redraws outrun its row leaves the rounds and
     takes its slots from ``draw_frame`` itself.
     """
     q = cdf.size - 1
@@ -353,7 +359,7 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
         streams.fill(frame_lo + row, x[row])
 
     deg = _degrees(x[:, :m], cdf)
-    slots = np.empty((B, m, q), dtype=np.int32)
+    slots = np.empty((B, m, q), dtype=np.min_scalar_type(n - 1))
     np.multiply(x[:, m : m + m * q].reshape(B, m, q), n, out=slots, casting="unsafe")
 
     pos = np.full(B, first, dtype=np.int64)  # next unread word of each frame
@@ -369,7 +375,7 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
         for f in np.unique(fr[over]).tolist():
             slots[f] = draw_frame(streams.at(frame_lo + f), cdf, n, m, eps)[1]
         fr, us, words = fr[~over], us[~over], words[~over]
-        rows = (x[fr[:, None], words[:, None] + np.arange(q)] * n).astype(np.int32)
+        rows = (x[fr[:, None], words[:, None] + np.arange(q)] * n).astype(slots.dtype)
         slots[fr, us] = rows
         again = _has_repeat(rows.T, deg[fr, us])
         fr, us = fr[again], us[again]
@@ -381,8 +387,6 @@ def _sample_block(streams: _FrameStreams, frame_lo: int, B: int, cdf, n, m, eps,
         recv = np.zeros((B, m), dtype=np.int16)
         for j in range(q):
             recv += survive[..., j]
-    # every slot, inside a row's degree or past it, is below n
-    slots += np.arange(0, B * n, n, dtype=np.int32)[:, None, None]
     return deg, recv, slots, survive
 
 
@@ -407,15 +411,15 @@ def _sample_chunk(spec: _ChunkSpec):
     """Sample frames frame_lo..frame_hi-1, one Philox stream per frame.
 
     Returns (orig, recv, codes): drawn and surviving degree matrices of shape
-    (B, m), then one int32 per edge in (frame, user, column) order, the
-    block-local slot code ``(frame - block_lo) * n + slot`` of the
-    ``_block_frames`` block holding it, frames counted from the chunk's
-    first. Each frame's users own consecutive edges, as many as their
-    received degrees. When ``eps == 0`` nothing is erased and ``recv`` is
-    ``orig``. Each block is one ``_sample_block`` call, which compresses its
-    surviving codes straight into the chunk's one code array, reserved by
-    ``_edge_capacity``, grown in place on the rare overflow and shrunk in
-    place to the edge count at the end.
+    (B, m), then each edge's frame-local slot, ``0 <= slot < n`` in
+    ``np.min_scalar_type(n - 1)``, in (frame, user, column) order. Each
+    frame's users own consecutive edges, as many as their received degrees,
+    so the degrees give each edge its frame and user. When ``eps == 0``
+    nothing is erased and ``recv`` is ``orig``. Each block is one
+    ``_sample_block`` call, which compresses its surviving slots straight
+    into the chunk's one code array, reserved by ``_edge_capacity``, grown
+    in place on the rare overflow and shrunk in place to the edge count at
+    the end.
     """
     n, m, eps = spec.n, spec.m, spec.epsilon
     B = spec.frame_hi - spec.frame_lo
@@ -425,7 +429,7 @@ def _sample_chunk(spec: _ChunkSpec):
 
     orig = np.empty((B, m), dtype=np.int16)
     recv = orig if eps == 0.0 else np.empty((B, m), dtype=np.int16)
-    codes = np.empty(_edge_capacity(spec.probs, eps, B * m), dtype=np.int32)
+    codes = np.empty(_edge_capacity(spec.probs, eps, B * m), dtype=np.min_scalar_type(n - 1))
     end = 0
     for lo, hi in _blocks(B, _block_frames(spec)):
         deg, rcv, slots, survive = _sample_block(streams, spec.frame_lo + lo, hi - lo, cdf, n, m, eps, spare)
@@ -447,9 +451,11 @@ def _peel_chunk(B, m, n, codes, recv, block):
     block_edges), where the edges of the i-th block of ``_blocks(B, block)``
     are ``codes[block_edges[i] : block_edges[i + 1]]``.
 
-    ``codes`` are ``_sample_chunk``'s block-local slot codes. The edges of
+    ``codes`` are ``_sample_chunk``'s frame-local slots. The edges of
     frames [lo, hi) are peeled on a ``state`` of ``(hi - lo) * n`` slots,
-    each packing its counters into one int64: every edge in the slot adds
+    indexed by intp block-local codes: each frame's offset
+    ``(frame - lo) * n`` repeated over its edges, plus their slots. Each
+    slot packs its counters into one int64: every edge in the slot adds
     ``(1 << 32) + block-local user id``, so ``state >> 32`` is the slot's
     occupancy and, in a singleton slot, the low 32 bits are its user's
     block-local id. A slot with two or more edges keeps ``state >= 2 << 32``
@@ -472,8 +478,10 @@ def _peel_chunk(B, m, n, codes, recv, block):
         np.cumsum(recv[lo:hi].reshape(-1), out=bptr[1:])
         e0 = block_edges[i]
         block_edges[i + 1] = e0 + bptr[-1]
-        # intp indices: numpy's fancy indexing converts int32 ones per call
-        bcodes = codes[e0 : block_edges[i + 1]].astype(np.intp)
+        # block-local intp codes: each frame's offset over its edges, plus the
+        # slots, added in intp (numpy's fancy indexing converts others per call)
+        bcodes = np.repeat(np.arange(0, (hi - lo) * n, n, dtype=np.intp), recv[lo:hi].sum(axis=1))
+        np.add(bcodes, codes[e0 : block_edges[i + 1]], out=bcodes)
         addend = np.repeat(np.arange(_EDGE, _EDGE + (hi - lo) * m), recv[lo:hi].reshape(-1))
         state = np.zeros((hi - lo) * n, dtype=np.int64)
         np.add.at(state, bcodes, addend)
@@ -535,9 +543,10 @@ def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block)
     vector aligned to ``HISTOGRAM_KEYS``.
 
     A component lies in one frame, so each block is labelled on its own
-    slots: the block-local codes of its residual edges, picked from
-    ``codes[block_edges[i] : block_edges[i + 1]]`` for the i-th block as
-    ``_peel_chunk`` returns them. Every residual component is a stopping
+    slots: the intp block-local codes of its residual edges, their slots
+    picked from ``codes[block_edges[i] : block_edges[i + 1]]`` for the i-th
+    block as ``_peel_chunk`` returns them, plus each residual user's frame
+    offset repeated over its edges. Every residual component is a stopping
     set, so one of at most ``_MAX_CLASS_SIZE`` users is classified by its
     signature alone, packed as a key that ``_CLASS_BY_KEY`` maps to its
     catalog index: its users per degree, one ``np.bincount`` on the labels
@@ -559,9 +568,11 @@ def _classify_residuals(B, m, n, codes, recv, block_edges, resolved_flat, block)
         degree0 += np.count_nonzero(block_unres) - users.size
         if not users.size:
             continue
-        rcode = codes[e0:e1][np.repeat(block_unres, block_recv)]
-        rcode = rcode.astype(np.intp)  # numpy converts int32 indices per call
         degrees = block_recv[users]
+        # block-local intp codes: each user's frame offset over its edges,
+        # plus the slots, added in intp
+        rcode = np.repeat(users // m * n, degrees)
+        np.add(rcode, codes[e0:e1][np.repeat(block_unres, block_recv)], out=rcode)
         u_inv = np.repeat(np.arange(users.size), degrees)
         labels, _ = _component_labels(rcode, u_inv, users.size, (hi - lo) * n)
         sizes = np.bincount(labels, minlength=users.size)

@@ -373,7 +373,7 @@ class TestErrorPaths:
 
     def test_block_too_large_for_int32_slot_codes_exits_1(self, capsys):
         # blocks shrink to one frame as n grows, and one frame of 2**31
-        # slots is past int32 slot codes
+        # slots puts block-local slot codes past 2**31
         argv = ["simulate", "--dist", "3:1.0", "--n", str(2**31), "--g", "0.0001"]
         assert main(argv) == 1
         assert "slot codes" in capsys.readouterr().err

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from csa_floor import harness
 from csa_floor.decoder import peel
-from csa_floor.distributions import ChannelModel, DegreeDistribution
+from csa_floor.distributions import ChannelModel, DegreeDistribution, parse_distribution
 from csa_floor.frame_model import FrameConfig, round_half_up, sample_frame
 from csa_floor.harness import (
     HISTOGRAM_KEYS,
@@ -65,7 +65,7 @@ def _check_chunk_against_reference(spec, cfg):
     block = _block_frames(spec)
     orig, recv, codes = _sample_chunk(spec)
     indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
-    _check_block_local(codes, indptr, n, m, B, block)
+    _check_frame_local(codes, indptr, n)
     resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
     _check_block_edges(block_edges, indptr, m, B, block)
     hist = _class_counts(_classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block))
@@ -74,7 +74,7 @@ def _check_chunk_against_reference(spec, cfg):
     for row in range(B):
         rng = frame_generator(spec.seed, spec.point_index, spec.frame_lo + row)
         graph = sample_frame(cfg, rng)
-        assert _slot_sets(codes, indptr, n, m, row, block) == [u.slots for u in graph.users]
+        assert _slot_sets(codes, indptr, m, row) == [u.slots for u in graph.users]
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
         outcome = peel(graph)
         assert resolved[row].tolist() == list(outcome.resolved)
@@ -90,13 +90,11 @@ def _class_counts(hist):
     return Counter({key: count for key, count in zip(HISTOGRAM_KEYS, hist.tolist()) if count})
 
 
-def _check_block_local(codes, indptr, n, m, B, block):
-    """``codes`` are int32 and each frame's codes name its block-local
-    frame: ``codes // n == frame - block_lo``."""
-    assert codes.dtype == np.int32 and codes.size == indptr[-1]
-    for row in range(B):
-        frame_codes = codes[indptr[row * m] : indptr[(row + 1) * m]]
-        assert (frame_codes // n == row % block).all()
+def _check_frame_local(codes, indptr, n):
+    """``codes`` are frame-local slots in the narrowest dtype that holds
+    ``n - 1``, one per received edge."""
+    assert codes.dtype == np.min_scalar_type(n - 1) and codes.size == indptr[-1]
+    assert (codes < n).all()
 
 
 def _check_block_edges(block_edges, indptr, m, B, block):
@@ -106,13 +104,10 @@ def _check_block_edges(block_edges, indptr, m, B, block):
     assert block_edges.tolist() == indptr[np.array(bounds) * m].tolist()
 
 
-def _slot_sets(codes, indptr, n, m, row, block):
-    """Each user's slots in frame ``row`` of a chunk, from the block-local
+def _slot_sets(codes, indptr, m, row):
+    """Each user's slots in frame ``row`` of a chunk, from the frame-local
     codes."""
-    return [
-        frozenset((codes[indptr[g] : indptr[g + 1]] - row % block * n).tolist())
-        for g in range(row * m, (row + 1) * m)
-    ]
+    return [frozenset(codes[indptr[g] : indptr[g + 1]].tolist()) for g in range(row * m, (row + 1) * m)]
 
 
 @given(chunk_cases())
@@ -237,7 +232,7 @@ def test_large_residual_chunks_match_reference(ref_dist, g):
 def test_block_boundaries_match_reference(ref_dist):
     """Seven blocks of 149 frames, the last partial, past the threshold:
     every block keeps residual components, which the peel and the labeller
-    handle on block-local state from block-local slot codes. Frames on both
+    handle on block-local state from frame-local slots. Frames on both
     sides of each block boundary must match the reference path."""
     n, frames = 200, 1031
     m = round_half_up(0.9 * n)
@@ -249,6 +244,33 @@ def test_block_boundaries_match_reference(ref_dist):
     for lo in range(0, frames, block):
         assert not resolved[lo : lo + block].all()
     assert sum(hist[c] for c in hist if c.startswith("S")) > 0
+
+
+@pytest.mark.parametrize(
+    "law, n, g, frames, dtype, top",
+    [
+        ("2:0.25,3:0.6,8:0.15", 256, 0.9, 8, np.uint8, 255),
+        ("2:1.0", 257, 0.9, 300, np.uint16, 256),
+        ("1:1.0", 70_000, 0.01, 3, np.uint32, 2**16),
+    ],
+)
+def test_slot_dtype_boundaries_match_reference(law, n, g, frames, dtype, top):
+    """The chunk stores each edge's frame-local slot in the narrowest dtype
+    that holds n - 1: uint8 up to n = 256, uint16 up to 65536, uint32 above.
+    Each chunk draws a slot of at least ``top``, past the next narrower
+    dtype, and keeps a residual; its frames share one block, so at n = 256
+    and 257 a frame offset added in the slot dtype would wrap (at frame 1
+    and frame 255) and join slots of different frames. At n = 70000 degree-1
+    users meet in a shared slot about 3.5 times a frame."""
+    dist = parse_distribution(law)
+    m = round_half_up(g * n)
+    spec = _ChunkSpec(dist.probs, n, m, 0.0, 61, 3, 2000, 2000 + frames, "induced")
+    cfg = FrameConfig(m=m, n=n, dist=dist, channel=ChannelModel(0.0))
+    assert _block_frames(spec) >= frames
+    hist, resolved = _check_chunk_against_reference(spec, cfg)
+    codes = _sample_chunk(spec)[2]
+    assert codes.dtype == dtype and codes.max() >= top
+    assert not resolved.all() and sum(hist.values()) > 0
 
 
 def test_waterfall_chunk_matches_reference(ref_dist):
@@ -411,7 +433,7 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
     assert all(frame_lo <= f < frame_lo + B for f in overflowed)
 
     indptr = np.concatenate(([0], np.cumsum(recv.reshape(-1))))
-    _check_block_local(codes, indptr, n, m, B, block)
+    _check_frame_local(codes, indptr, n)
     resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
     _check_block_edges(block_edges, indptr, m, B, block)
     hist = _class_counts(_classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block))
@@ -420,7 +442,7 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
     cfg = FrameConfig(m=m, n=n, dist=dist, channel=ChannelModel(eps))
     for row in range(B):
         graph = sample_frame(cfg, frame_generator(spec.seed, spec.point_index, frame_lo + row))
-        assert _slot_sets(codes, indptr, n, m, row, block) == [u.slots for u in graph.users]
+        assert _slot_sets(codes, indptr, m, row) == [u.slots for u in graph.users]
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
         assert recv[row].tolist() == [u.received_degree for u in graph.users]
         outcome = peel(graph)
@@ -464,16 +486,15 @@ def test_sub_blocks_and_code_growth_match_reference(ref_dist, monkeypatch):
 
 def _decoded_chunk(spec):
     """A chunk's sample, peel and classify outputs at its ``_block_frames``,
-    with each edge's block-local code decoded to its (frame, slot) pair."""
+    with each edge as its (frame, slot) pair, the frame read off the received
+    degrees."""
     B, m, n = spec.frame_hi - spec.frame_lo, spec.m, spec.n
     block = _block_frames(spec)
     orig, recv, codes = _sample_chunk(spec)
     resolved, block_edges = _peel_chunk(B, m, n, codes, recv, block)
     hist = _class_counts(_classify_residuals(B, m, n, codes, recv, block_edges, resolved.reshape(-1), block))
-    edge_frame = np.repeat(np.arange(B), recv.sum(axis=1))
-    frame = edge_frame // block * block + codes // n
-    assert np.array_equal(frame, edge_frame)
-    return block, orig, recv, frame, codes % n, resolved, hist
+    frame = np.repeat(np.arange(B), recv.sum(axis=1))
+    return block, orig, recv, frame, codes, resolved, hist
 
 
 @pytest.mark.parametrize("g, eps", [(0.5, 0.03), (0.9, 0.0)])

@@ -10,6 +10,7 @@ from csa_floor import harness
 from csa_floor.decoder import DegreeKeying
 from csa_floor.distributions import ChannelModel, parse_distribution, validate
 from csa_floor.harness import (
+    CHUNK_FRAMES,
     CSV_HEADER,
     HISTOGRAM_KEYS,
     SAMPLE_WORDS,
@@ -118,7 +119,7 @@ class TestPlanValidation:
         assert plan.n == 262143
 
     def test_block_too_large_for_int32_slot_codes_rejected(self):
-        # a block of one frame of 2**31 slots: slot codes past int32
+        # a block of one frame of 2**31 slots: block-local slot codes past 2**31
         with pytest.raises(PlanError, match="slot codes"):
             SweepPlan(dist=parse_distribution("3:1.0"), n=2**31, epsilon=0.0, loads=(1e-4,), frames=1)
 
@@ -424,6 +425,23 @@ def test_decode_working_memory_bounded_by_block(ref_dist, n):
         assert extra < 3 * SAMPLE_WORDS * 8, ("classify", frames, extra)
 
 
+def test_waterfall_chunk_peak_memory(ref_dist):
+    """One 4096-frame chunk at the waterfall point (n = 200, g = 0.9), whose
+    edge array is the largest of the flagship points, stays under 9 MB of
+    traced memory from sampling to its record, about 7 MB with one byte per
+    edge."""
+    n = 200
+    spec = _ChunkSpec(ref_dist.probs, n, round_half_up(0.9 * n), 0.0, 3, 0, 0, CHUNK_FRAMES, "induced")
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        _run_chunk(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 9e6, peak - entry
+
+
 @pytest.mark.parametrize("n", [200, 1000, 5000])
 @pytest.mark.parametrize("g, eps", [(0.005, 0.0), (0.1, 0.03), (0.9, 0.0), (2.0, 0.3)])
 def test_block_fits_sample_words_by_row_and_by_slots(ref_dist, n, g, eps):
@@ -439,9 +457,10 @@ def test_block_fits_sample_words_by_row_and_by_slots(ref_dist, n, g, eps):
 
 
 def test_chunk_arrays_hold_four_bytes_per_edge_and_per_user(ref_dist):
-    """What spans a chunk: one int32 slot code per edge and the two int16
-    degree matrices, whatever the block count. Without erasures the received
-    degrees are the drawn ones, and one matrix serves as both."""
+    """What spans a chunk: one frame-local slot per edge, a byte each at
+    n = 200, and the two int16 degree matrices, whatever the block count.
+    Without erasures the received degrees are the drawn ones, and one matrix
+    serves as both."""
     n = 200
     m = round_half_up(0.9 * n)
     frames = 1031
@@ -449,18 +468,18 @@ def test_chunk_arrays_hold_four_bytes_per_edge_and_per_user(ref_dist):
         spec = _ChunkSpec(ref_dist.probs, n, m, eps, 5, 0, 0, frames, "induced")
         out = _sample_chunk(spec)
         edges = int(out[1].sum())
-        assert out[2].size == edges
+        assert out[2].size == edges and out[2].dtype == np.uint8
         assert (out[0] is out[1]) == (eps == 0.0)
         distinct = {id(a): a for a in out}.values()
         degree_bytes = 2 if eps == 0.0 else 4  # per user, one or two int16 matrices
-        assert sum(a.nbytes for a in distinct) <= 4 * edges + degree_bytes * frames * m
+        assert sum(a.nbytes for a in distinct) == edges + degree_bytes * frames * m
 
 
 @pytest.mark.parametrize("n", [200, 1000])
 def test_sampler_working_memory_bounded_by_sample_words(ref_dist, n):
     """The sampler holds its chunk's arrays and, at a time, one block of
-    about SAMPLE_WORDS uniforms and two int32 slot copies, each at most half
-    the uniforms' bytes. So its working memory stays under three times the
+    about SAMPLE_WORDS uniforms and two slot copies, each at most half the
+    uniforms' bytes. So its working memory stays under three times the
     uniforms' bytes at any n and block count; a buffer of 512 frames
     needs 16.8 MB at n = 200 and 77 MB at n = 1000, and a final concatenate
     holds the codes twice."""
