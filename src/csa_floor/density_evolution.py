@@ -9,16 +9,16 @@ fixed-point recursion: starting from q = p = 1,
 
 where lambda_e is the edge-perspective degree polynomial and dbar the mean
 degree. The unresolved user fraction at the fixed point is
-sum_l lambda_l p^l. The threshold g* is the largest load whose fixed point
-leaves a vanishing unresolved fraction. A nonzero fixed point p exists at
-load g exactly when g = -ln(1 - p) / (dbar * lambda_e(p)), so g* is the
-infimum of that ratio over p in (0, 1). ``threshold`` computes it in that
-closed form: the ratio on a fixed grid, then a Newton solve of its
-stationarity condition between the grid argmin's neighbours, and the same
-on a tail grid toward p = 1 when a lower bound of the ratio there allows a
-lower value.
-``de_fixed_point`` keeps the recursion for traces and the unresolved
-fraction at a given load.
+sum_l lambda_l p^l. A p in (0, 1) is a fixed point at load g exactly when
+f(p) = -ln(1 - p) / P(p) = g, with P(p) = dbar * lambda_e(p) =
+sum_l l lambda_l p^(l-1), and the recursion falls from p = 1 to the largest
+such p, or to p = 0 when there is none. Both answers are read off f in
+closed form, with no iteration of the recursion: ``threshold`` is f's
+infimum over (0, 1), the largest load whose fixed point leaves a vanishing
+unresolved fraction, and ``de_fixed_point`` is the largest root of
+f(p) = g. Both sample f on a fixed grid, and on a tail grid toward p = 1
+when a lower bound of f there allows it, and close the answer with the same
+safeguarded Newton solve between samples.
 
 The recursion assumes every user has degree >= 2: with mass on degree 0 or 1
 it stops describing the actual decoder (a degree-1 user occupies one slot
@@ -30,6 +30,7 @@ governed by the induced degree-0 mass instead.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -40,8 +41,6 @@ import numpy as np
 from .distributions import DegreeDistribution
 from .errors import CsaFloorError
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
 GRID_POINTS = 2048
 NEWTON_TOL = 1e-12
 _GRID_STEP = 1.0 / (GRID_POINTS + 1)
@@ -71,8 +70,6 @@ class DegreeOneUnsupported(CsaFloorError):
 class DeResult:
     fixed_point_q: float
     unresolved_fraction: float
-    converged: bool
-    iterations: int
 
 
 def _check_min_degree(dist: DegreeDistribution):
@@ -83,56 +80,59 @@ def _check_min_degree(dist: DegreeDistribution):
         )
 
 
-def _horner(coeffs, p: float) -> float:
-    """sum_k coeffs[k] p^k."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * p + c
-    return acc
-
-
-def de_fixed_point(
-    dist: DegreeDistribution,
-    g: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    trace: list | None = None,
-) -> DeResult:
-    """Iterate the recursion at load g until q moves less than tol.
-
-    ``trace``, when given, collects the q value of every iteration (the
-    sequence is monotone non-increasing).
-    """
+def _terms(dist: DegreeDistribution) -> list[tuple[int, float]]:
+    """(k, w_k) of P's nonzero terms w_k p^k, after the degree check."""
     _check_min_degree(dist)
+    return [(l - 1, l * lam) for l, lam in enumerate(dist.probs) if lam]
+
+
+def de_fixed_point(dist: DegreeDistribution, g: float) -> DeResult:
+    """The recursion's limit at load g: p the largest root of f(p) = g, or
+    p = q = 0 exactly when g is below f's infimum (``threshold`` when that
+    is below 1).
+
+    The root lies right of the last sample of f at or below g, on the grid
+    or, when f may reach g past it, on the tail grid, and right of f's
+    minimizer, which catches a basin narrower than the grid around it; with
+    neither, it lies in (0, GRID[0]), where f falls to 1 / (2 lambda_2).
+    The next sample point, or p = 1, closes the bracket. A basin narrower
+    than the grid that is not f's minimum's is not seen. A safeguarded
+    Newton solve of R(p) = -ln(1 - p) - g P(p) = 0 closes in on the root:
+    R <= 0 at the bracket's left end and R > 0 at its right end.
+    """
+    terms = _terms(dist)
     if g <= 0.0:
         raise ValueError(f"load must be positive, got {g}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    edge = dist.edge_perspective()  # coefficient for p^(l-1) at index l-1
-    dbar = dist.mean_degree()
-    rate = g * dbar
+    g_star, a, values = _minimum(terms)
+    if g < g_star:
+        return DeResult(fixed_point_q=0.0, unresolved_fraction=0.0)
+    below = np.flatnonzero(values <= g)
+    if below.size:
+        a = max(a, float(_GRID[below[-1]]))
+    dbar = sum(w for _, w in terms)
+    if _GRID_NUMERATOR[-1] < g * dbar:  # past the grid f >= -ln(1 - p) / dbar
+        below = np.flatnonzero(_tail_ratio(terms) <= g)
+        if below.size:
+            a = max(a, float(_TAIL[below[-1]]))
+    if a < _TAIL_EDGES[0]:
+        b = float(_GRID[np.searchsorted(_GRID, a, side="right")])
+    else:
+        b = _TAIL_EDGES[bisect.bisect_right(_TAIL_EDGES, a)]
 
-    q = 1.0
-    p = 1.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        p = 1.0 - math.exp(-rate * q)
-        acc = 0.0
-        for c in reversed(edge):
-            acc = acc * p + c
-        if trace is not None:
-            trace.append(acc)
-        if abs(acc - q) < tol:
-            q = acc
-            converged = True
-            break
-        q = acc
+    def newton(x: float):
+        poly = slope = 0.0
+        for k, w in terms:
+            t = w * x ** (k - 1)  # P(x) = sum t x, P'(x) = sum k t
+            poly += t * x
+            slope += k * t
+        r = -math.log1p(-x) - g * poly
+        dr = 1.0 / (1.0 - x) - g * slope
+        return r, r / dr if dr else math.inf, poly
+
+    poly, p = _newton(newton, a, 0.5 * (a + b), b)
     return DeResult(
-        fixed_point_q=q,
-        unresolved_fraction=_horner(dist.probs, p),
-        converged=converged,
-        iterations=iterations,
+        fixed_point_q=poly / dbar,
+        unresolved_fraction=sum(dist.probs[k + 1] * p ** (k + 1) for k, _ in terms),
     )
 
 
@@ -142,16 +142,25 @@ def threshold(dist: DegreeDistribution) -> float:
 
     g* is the infimum over p in (0, 1) of f(p) = -ln(1 - p) / P(p), with
     P(p) = sum_l l lambda_l p^(l-1), the load at which p is a fixed point of
-    the recursion. It is the smallest of these values: f's minimum over a
-    fixed grid of GRID_POINTS interior points, f at the stationary point
-    that a safeguarded Newton solve (``_newton_min``) finds between the grid
-    argmin's neighbours, and the p -> 0 limit 1 / (2 lambda_2) when
-    lambda_2 > 0, which is where the infimum sits for degree-2-heavy laws.
-    Past the last grid point f >= -ln(1 - p) / P(1), p at that point; when
-    this bound is below the value so far, as it can be for a law whose
-    mean degree is in the hundreds, f's minimum on ``_TAIL``, where 1 - p
-    halves 39 times, and Newton's around its argmin join them. So it is
-    never above the grid minimum.
+    the recursion. ``_minimum`` finds it.
+    """
+    return min(1.0, _minimum(_terms(dist))[0])
+
+
+def _minimum(terms) -> tuple[float, float, np.ndarray]:
+    """f's infimum over (0, 1), not capped; the p where f reaches it, 0.0
+    for the p -> 0 limit; and f on the grid.
+
+    The infimum is the smallest of these values: f's minimum over a fixed
+    grid of GRID_POINTS interior points, f at the stationary point that a
+    safeguarded Newton solve finds between the grid argmin's neighbours, and
+    the p -> 0 limit 1 / (2 lambda_2) when lambda_2 > 0, which is where the
+    infimum sits for degree-2-heavy laws. Past the last grid point
+    f >= -ln(1 - p) / P(1), p at that point; when this bound is below the
+    value so far, as it can be for a law whose mean degree is in the
+    hundreds, f's minimum on ``_TAIL``, where 1 - p halves 39 times, and
+    Newton's around its argmin join them. So it is never above the grid
+    minimum.
 
     The grid sums the nonzero terms only, w_k * GRID**k with w_k the
     coefficient of p^k in P, from powers that ``_grid_power`` memoizes.
@@ -162,13 +171,9 @@ def threshold(dist: DegreeDistribution) -> float:
     3 lambda_3, a simple one at 0, which Newton approaches quadratically
     where H's double root would only halve the distance per step. Newton
     starts from the vertex of the parabola through the three grid values
-    around the argmin, stops once its step or the bracket is below
-    NEWTON_TOL, keeps the bracket [a, b] by the sign of H and bisects
-    whenever a step would leave it. It never evaluates f at p = 0 or
-    p = 1, where the bracket may end.
+    around the argmin. It never evaluates f at p = 0 or p = 1, where the
+    bracket may end.
     """
-    _check_min_degree(dist)
-    terms = [(l - 1, l * lam) for l, lam in enumerate(dist.probs) if lam]  # w_k p^k of P
     (k, w), *rest = terms
     values = w * _grid_power(k)
     for k, w in rest:
@@ -179,36 +184,22 @@ def threshold(dist: DegreeDistribution) -> float:
         with np.errstate(divide="ignore", over="ignore"):
             np.divide(_GRID_NUMERATOR, values, out=values)
     i = int(values.argmin())
-    g_star = float(values[i])
+    best = (float(values[i]), float(_GRID[i]))
 
     if 0 < i < GRID_POINTS - 1:
         a, x, b = _GRID[i - 1 : i + 2].tolist()
         left, right = float(values[i - 1]), float(values[i + 1])
-        curvature = left - 2.0 * g_star + right
+        curvature = left - 2.0 * best[0] + right
         if curvature > 0.0:  # start from the vertex of the parabola
             x += _GRID_STEP * 0.5 * (left - right) / curvature
     else:  # the bracket reaches p = 0 or p = 1, where f is not evaluated
         a = float(_GRID[i - 1]) if i else 0.0
         b = 1.0 if i else float(_GRID[1])
         x = float(_GRID[i])
-    g_star = min(g_star, _newton_min(terms, a, x, b))
-    if _GRID_NUMERATOR[-1] < g_star * sum(w for _, w in terms):
-        # past the last grid point f >= -ln(1 - p) / P(1), which may undercut g_star
-        with np.errstate(divide="ignore", over="ignore"):
-            tail = _TAIL_NUMERATOR / sum(w * _TAIL**k for k, w in terms)
-        j = int(tail.argmin())
-        a, x, b = _TAIL_EDGES[j : j + 3]
-        g_star = min(g_star, float(tail[j]), _newton_min(terms, a, x, b))
-    if dist.probs[2] > 0.0:
-        g_star = min(g_star, 0.5 / dist.probs[2])
-    return min(1.0, g_star)
-
-
-def _newton_min(terms, a: float, x: float, b: float) -> float:
-    """f at the stationary point that a safeguarded Newton solve on H(p) / p
-    finds in the bracket [a, b] from x, P being sum w p^k over ``terms``."""
     log1p = math.log1p
-    while True:
+
+    def stationary(x: float):
+        """Newton on H(p) / p, reporting f: x -> (H(x), step, f(x))."""
         u = 1.0 - x
         ln_u = log1p(-x)
         u_ln_u = u * ln_u
@@ -218,15 +209,53 @@ def _newton_min(terms, a: float, x: float, b: float) -> float:
             poly += t * x
             h += t * (x + u_ln_u * k)
             dh += k * t * (u * (k - 1) - x)
-        if h < 0.0:  # f falls at x: its minimum lies to the right
+        slope = ln_u * dh - h  # x H'(x) = ln_u dh; x^2 (H(p) / p)' at x
+        return h, h * x / slope if slope else math.inf, -ln_u / poly
+
+    best = min(best, _newton(stationary, a, x, b))
+    if _GRID_NUMERATOR[-1] < best[0] * sum(w for _, w in terms):
+        # past the last grid point f >= -ln(1 - p) / P(1), which may undercut the minimum
+        tail = _tail_ratio(terms)
+        j = int(tail.argmin())
+        a, x, b = _TAIL_EDGES[j : j + 3]
+        best = min(best, (float(tail[j]), x), _newton(stationary, a, x, b))
+    k, w = terms[0]
+    if k == 1:  # lambda_2 > 0
+        best = min(best, (1.0 / w, 0.0))
+    return *best, values
+
+
+def _tail_ratio(terms) -> np.ndarray:
+    """f on the tail grid ``_TAIL``."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return _TAIL_NUMERATOR / sum(w * _TAIL**k for k, w in terms)
+
+
+def _newton(newton, a: float, x: float, b: float):
+    """(report, x) at the x where a safeguarded Newton solve in the bracket
+    [a, b] from x stops.
+
+    ``newton(x)`` returns a value that is negative when the solution lies
+    right of x, the Newton step, and a report on x for the caller. The
+    bracket shrinks to x on that value's side, a step that would leave it
+    bisects instead, and the solve stops once the step or the bracket is
+    below a tolerance: NEWTON_TOL in p for a bracket that starts on the
+    grid, and past the last grid point NEWTON_TOL scaled by 1 - a over the
+    last grid point's 1 - p, but no less than the spacing of two floats
+    just below 1, so that the bracket toward p = 1 closes and f is never
+    evaluated at p = 1.
+    """
+    tol = NEWTON_TOL
+    if a > _TAIL_EDGES[0]:  # relative to 1 - p past the grid
+        tol = max(tol * (1.0 - a) / (1.0 - _TAIL_EDGES[0]), sys.float_info.epsilon)
+    while True:
+        value, step, report = newton(x)
+        if value < 0.0:
             a = x
         else:
             b = x
-        slope = ln_u * dh - h  # x H'(x) = ln_u dh; x^2 (H(p) / p)' at x
-        step = h * x / slope if slope else math.inf
-        if abs(step) <= NEWTON_TOL or b - a <= NEWTON_TOL:
-            break
+        if abs(step) <= tol or b - a <= tol:
+            return report, x
         x -= step
         if not a < x < b:
             x = 0.5 * (a + b)
-    return -ln_u / poly

@@ -152,10 +152,10 @@ class SweepPlan:
         if self.frames < 1:
             raise PlanError(f"frames must be >= 1, got {self.frames}")
         # the analytic overlay's catalog beta formulas need MIN_FRAME_LENGTH slots;
-        # below 2**31 a frame's slots fit uint32 (numpy adds uint64 to intp in
-        # float64), and _block_frames keeps a block's slot codes below 2**31
+        # below 2**31 a frame's slot codes fit uint32, which the peel and the
+        # labeller add to intp offsets exactly: numpy adds uint64 to intp in float64
         if not MIN_FRAME_LENGTH <= self.n < 2**31:
-            raise PlanError(f"n must be >= {MIN_FRAME_LENGTH} and below 2**31 for block-local slot codes, got {self.n}")
+            raise PlanError(f"n must be >= {MIN_FRAME_LENGTH} and below 2**31 for uint32 frame-local slot codes, got {self.n}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise PlanError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.workers < 1:
@@ -284,12 +284,10 @@ def _row_redraws(l: int, n: int) -> float:
 
 def _block_frames(spec: _ChunkSpec) -> int:
     """Frames per block of every chunk kernel: ``SAMPLE_WORDS`` words over
-    the wider of a frame's sampler row and its n slots, at least one, and
-    few enough that a block's slot codes ``(frame - block_lo) * n + slot``
-    stay below 2**31."""
+    the wider of a frame's sampler row and its n slots, at least one."""
     q = len(spec.probs) - 1
     width = _first_words(q, spec.m, spec.epsilon) + _spare_words(spec.probs, spec.n, spec.m)
-    return min(max(1, SAMPLE_WORDS // max(width, spec.n)), (2**31 - 1) // spec.n)
+    return max(1, SAMPLE_WORDS // max(width, spec.n))
 
 
 def _blocks(B: int, block: int) -> list[tuple[int, int]]:

@@ -5,10 +5,10 @@ Each function evaluates its formula the direct way: ``rho`` through
 ``plr_per_degree`` by scanning every class profile at every degree,
 ``induce`` with the binomial coefficients and powers recomputed per term,
 ``threshold`` with a generator sum of ``w * GRID**k`` on the grid and a
-Newton closure for the refinement near the argmin and, when the bound
-``-ln(1 - p) / P(1)`` past the grid is below that, around the tail argmin,
-``average_plr`` over a generator of products, and ``to_distribution`` on
-the raw weights as given, numpy scalars included. The package's kernels precompute and reuse what these
+Newton closure, with the package's stop rule, for the refinement near the
+argmin and, when the bound ``-ln(1 - p) / P(1)`` past the grid is below
+that, around the tail argmin, ``average_plr`` over a generator of products,
+and ``to_distribution`` on the raw weights as given, numpy scalars included. The package's kernels precompute and reuse what these
 recompute and skip the adds of zero terms, with the same results in every
 bit, and ``test_analytic_kernels.py`` holds them to bitwise equality.
 
@@ -16,11 +16,16 @@ bit, and ``test_analytic_kernels.py`` holds them to bitwise equality.
 oracle rather than a restatement: ``numpy.polynomial.polynomial.polyval``
 over every coefficient on the grid, then golden-section search on f itself
 between the grid argmin's neighbours down to ``REFINE_WIDTH``.
+``de_recursion`` is the density-evolution recursion itself, iterated from
+q = p = 1 until q moves less than a tolerance: the independent reference
+for ``de_fixed_point``'s root of f(p) = g and for the threshold's split of
+loads into those whose fixed point is zero and those stuck above it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +37,6 @@ from csa_floor.density_evolution import (
     GRID_POINTS,
     NEWTON_TOL,
     _check_min_degree,
-    _horner,
 )
 from csa_floor.distributions import ChannelModel, DegreeDistribution
 from csa_floor.frame_model import SlotCountTooSmall, multinomial_pmf
@@ -42,6 +46,50 @@ from csa_floor.stopping_sets import CATALOG, StoppingSetClass, TooFewUsers
 # threshold_golden's bracket width in p and golden-section ratio
 REFINE_WIDTH = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class Recursion(NamedTuple):
+    fixed_point_q: float
+    unresolved_fraction: float
+    converged: bool
+
+
+def _horner(coeffs, p: float) -> float:
+    """sum_k coeffs[k] p^k."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
+
+
+def de_recursion(
+    dist: DegreeDistribution,
+    g: float,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+    trace: list | None = None,
+) -> Recursion:
+    """Iterate p <- 1 - exp(-g dbar q), q <- lambda_e(p) from q = p = 1 at
+    load g until q moves less than tol, or max_iter times.
+
+    ``trace``, when given, collects the q value of every iteration (the
+    sequence is monotone non-increasing).
+    """
+    _check_min_degree(dist)
+    edge = dist.edge_perspective()  # coefficient for p^(l-1) at index l-1
+    rate = g * dist.mean_degree()
+    q = p = 1.0
+    converged = False
+    for _ in range(max_iter):
+        p = 1.0 - math.exp(-rate * q)
+        acc = _horner(edge, p)
+        if trace is not None:
+            trace.append(acc)
+        converged = abs(acc - q) < tol
+        q = acc
+        if converged:
+            break
+    return Recursion(q, _horner(dist.probs, p), converged)
 
 
 def beta(sclass: StoppingSetClass, n: int) -> float:
@@ -139,13 +187,16 @@ def threshold(dist: DegreeDistribution) -> float:
 
     def refine(a: float, x: float, b: float) -> float:
         """f where the safeguarded Newton solve in [a, b] from x stops."""
+        tol = NEWTON_TOL
+        if a > _GRID[-1]:
+            tol = max(tol * (1.0 - a) / (1.0 - float(_GRID[-1])), 2.0**-52)
         while True:
             h, step = newton(x)
             if h < 0.0:
                 a = x
             else:
                 b = x
-            if abs(step) <= NEWTON_TOL or b - a <= NEWTON_TOL:
+            if abs(step) <= tol or b - a <= tol:
                 return f(x)
             x -= step
             if not a < x < b:

@@ -372,8 +372,7 @@ class TestErrorPaths:
         assert "users in a frame" in capsys.readouterr().err
 
     def test_block_too_large_for_int32_slot_codes_exits_1(self, capsys):
-        # blocks shrink to one frame as n grows, and one frame of 2**31
-        # slots puts block-local slot codes past 2**31
+        # a frame of 2**31 slots: its slot codes leave the plan's uint32 bound
         argv = ["simulate", "--dist", "3:1.0", "--n", str(2**31), "--g", "0.0001"]
         assert main(argv) == 1
         assert "slot codes" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from csa_floor.density_evolution import (
     threshold,
 )
 from csa_floor.distributions import ChannelModel, induce, parse_distribution, validate
+from tests import analytic_reference as ref
 
 PURE2 = validate([0, 0, 1.0])
 PURE3 = validate([0, 0, 0, 1.0])
@@ -24,6 +25,11 @@ BIMODAL = "3:0.9,30:0.1"
 ORACLE_SCAN = 20_000
 ORACLE_DIGITS = 40
 ORACLE_WIDTH = Decimal("1e-24")
+# just below g* the recursion stalls in the bottleneck of these: after up to
+# 100000 iterations it still reads 0.487, 0.366 and 0.331
+BOTTLENECKED = ["2:0.25,3:0.6,8:0.15", "3:1.0", BIMODAL]
+# f's minimum is past the last grid point, in a basin narrower than the grid
+NARROW_BASIN = ["2:0.5,400:0.5", "2:0.5,20000:0.5"]
 
 
 @st.composite
@@ -75,7 +81,7 @@ def decimal_threshold(dist) -> Decimal:
         best = 1 / (2 * Decimal(dist.probs[2])) if dist.probs[2] else Decimal(1)
         for j in np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1:
             a, b = Decimal(int(j)) / ORACLE_SCAN, Decimal(int(j) + 2) / ORACLE_SCAN  # p[j] +- 1/SCAN
-            best = min(best, golden_minimum(f, a, b))
+            best = min(best, golden_minimum(f, a, b)[0])
         return min(best, Decimal(1))
 
 
@@ -93,12 +99,45 @@ def decimal_tail_minimum(dist) -> Decimal:
         p = 1.0 - 10.0 ** -np.linspace(2.0, 12.0, ORACLE_SCAN)
         j = int(np.argmin(ratio(dist, p)))
         assert 0 < j < ORACLE_SCAN - 1
-        return golden_minimum(f, Decimal(p[j - 1]), Decimal(p[j + 1]))
+        return golden_minimum(f, Decimal(p[j - 1]), Decimal(p[j + 1]))[0]
 
 
-def golden_minimum(f, a: Decimal, b: Decimal) -> Decimal:
-    """f's minimum on [a, b] by golden section down to ORACLE_WIDTH, in the
-    caller's Decimal context."""
+def decimal_unresolved(dist, g: float) -> Decimal:
+    """sum_l lambda_l p^l at the largest root p of f(p) = g to ORACLE_DIGITS
+    digits, for a load g just above f's infimum.
+
+    f's minimizer is refined by golden section in Decimal arithmetic between
+    the neighbours of the argmin of a float scan, uniform in p and in
+    -log10(1 - p). Near the infimum f stays below g only around it, so the
+    root is bisected in Decimal down to ORACLE_WIDTH between the minimizer
+    and the first scan point right of it where f exceeds g.
+    """
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        terms = [(l, Decimal(lam)) for l, lam in enumerate(dist.probs) if lam]
+
+        def f(p):
+            return -(1 - p).ln() / sum(l * lam * p ** (l - 1) for l, lam in terms)
+
+        p = np.union1d(np.arange(1, ORACLE_SCAN) / ORACLE_SCAN, 1.0 - 10.0 ** -np.linspace(2.0, 12.0, ORACLE_SCAN))
+        v = ratio(dist, p)
+        j = int(np.argmin(v))
+        _, a = golden_minimum(f, Decimal(p[j - 1]), Decimal(p[j + 1]))
+        b = Decimal(p[j + 1 + int(np.argmax(v[j + 1 :] > g))])
+        load = Decimal(g)
+        assert f(a) < load < f(b)
+        while b - a > ORACLE_WIDTH:
+            mid = (a + b) / 2
+            if f(mid) <= load:
+                a = mid
+            else:
+                b = mid
+        return sum(lam * a**l for l, lam in terms)
+
+
+def golden_minimum(f, a: Decimal, b: Decimal) -> tuple[Decimal, Decimal]:
+    """f's minimum on [a, b] and where it is reached, by golden section down
+    to ORACLE_WIDTH, in the caller's Decimal context."""
     inv_phi = (Decimal(5).sqrt() - 1) / 2
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
@@ -111,13 +150,12 @@ def golden_minimum(f, a: Decimal, b: Decimal) -> Decimal:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = f(d)
-    return min(fc, fd)
+    return min((fc, c), (fd, d))
 
 
 class TestFixedPoint:
     def test_pure_degree2_below_threshold(self):
         res = de_fixed_point(PURE2, 0.4)
-        assert res.converged
         assert res.unresolved_fraction < 1e-8
 
     def test_pure_degree2_above_threshold(self):
@@ -150,16 +188,58 @@ class TestFixedPoint:
             assert b >= a - 1e-9
 
     def test_q_sequence_monotone_non_increasing(self):
+        # the recursion's own iterates; de_fixed_point solves for their limit
         for g in (0.3, 0.5, 0.7, 0.9):
             trace: list[float] = []
-            de_fixed_point(PURE3, g, trace=trace)
+            ref.de_recursion(PURE3, g, trace=trace)
             assert all(a >= b - 1e-15 for a, b in zip(trace, trace[1:])), g
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             de_fixed_point(PURE2, 0.0)
-        with pytest.raises(ValueError):
-            de_fixed_point(PURE2, 0.5, tol=0.0)
+
+    @given(laws())
+    def test_zero_exactly_below_threshold(self, dist):
+        g_star = threshold(dist)
+        below = de_fixed_point(dist, math.nextafter(g_star, 0.0))
+        assert below.unresolved_fraction == 0.0 and below.fixed_point_q == 0.0
+        assert de_fixed_point(dist, g_star).unresolved_fraction > 0.0
+
+    @pytest.mark.parametrize("text", BOTTLENECKED)
+    def test_zero_just_below_threshold(self, text):
+        dist = parse_distribution(text)
+        g = threshold(dist) * (1 - 1e-10)
+        assert decimal_threshold(dist) > Decimal(g)
+        res = de_fixed_point(dist, g)
+        assert res.unresolved_fraction == 0.0 and res.fixed_point_q == 0.0
+
+    @pytest.mark.parametrize("excess", [1e-10, 1e-6])
+    @pytest.mark.parametrize("text", BOTTLENECKED + NARROW_BASIN)
+    def test_matches_decimal_root_just_above_threshold(self, text, excess):
+        dist = parse_distribution(text)
+        g = threshold(dist) * (1 + excess)
+        got = de_fixed_point(dist, g).unresolved_fraction
+        assert abs(Decimal(got) - decimal_unresolved(dist, g)) <= Decimal("1e-9")
+
+    @pytest.mark.parametrize("text,g", [("3:1.0", 50.0), ("2:0.5,400:0.5", 1.5), ("2:0.5,20000:0.5", 2.0)])
+    def test_root_closer_to_one_than_floats_resolve(self, text, g):
+        # 1 - p = exp(-g P(p)) at the root is below the float spacing at 1, so
+        # the bracket toward p = 1 must close without evaluating f at p = 1
+        dist = parse_distribution(text)
+        want = ref.de_recursion(dist, g)
+        assert abs(de_fixed_point(dist, g).unresolved_fraction - want.unresolved_fraction) <= 1e-9
+
+    @example(parse_distribution(BIMODAL), -1e-3)
+    @example(parse_distribution(BIMODAL), 1e-3)
+    @given(laws(), st.sampled_from([-0.5, -1e-2, -1e-3, 1e-3, 1e-2, 0.5]))
+    def test_matches_reference_recursion_away_from_threshold(self, dist, offset):
+        # a tolerance of 1e-14 on q keeps the recursion's own error, about
+        # tol / (1 - rate), well below 1e-9 at a rate of 0.999
+        g = threshold(dist) * (1 + offset)
+        want = ref.de_recursion(dist, g, tol=1e-14, max_iter=10**6)
+        assert want.converged
+        got = de_fixed_point(dist, g)
+        assert abs(got.unresolved_fraction - want.unresolved_fraction) <= 1e-9
 
 
 class TestThreshold:
@@ -183,10 +263,10 @@ class TestThreshold:
     @given(laws())
     def test_separates_converging_from_stuck_loads(self, dist):
         g_star = threshold(dist)
-        below = de_fixed_point(dist, g_star * (1 - 1e-3))
+        below = ref.de_recursion(dist, g_star * (1 - 1e-3))
         assert below.unresolved_fraction < 1e-8
         if g_star < 1.0:
-            above = de_fixed_point(dist, g_star * (1 + 1e-3))
+            above = ref.de_recursion(dist, g_star * (1 + 1e-3))
             assert above.unresolved_fraction > 1e-8
 
     @pytest.mark.parametrize(
@@ -244,6 +324,7 @@ class TestThreshold:
             ("2:0.5,20000:0.5", True),
             ("2:0.9,20000:0.1", False),  # f rises at the last grid point, then dips
             ("3:0.9,20000:0.1", False),
+            ("2:0.98,1000000:0.02", False),  # 1 - p = 6e-8 there: Newton stops relative to 1 - p
         ],
     )
     def test_minimum_past_the_last_grid_point(self, text, falls_at_last_point):
@@ -276,7 +357,7 @@ class TestThreshold:
 
     def test_agrees_with_full_fixed_point_classification(self):
         g_star = threshold(PURE3)
-        below = de_fixed_point(PURE3, g_star - 0.01)
-        above = de_fixed_point(PURE3, g_star + 0.01)
+        below = ref.de_recursion(PURE3, g_star - 0.01)
+        above = ref.de_recursion(PURE3, g_star + 0.01)
         assert below.unresolved_fraction < 1e-8
         assert above.unresolved_fraction > 1e-4

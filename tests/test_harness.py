@@ -119,23 +119,21 @@ class TestPlanValidation:
         assert plan.n == 262143
 
     def test_block_too_large_for_int32_slot_codes_rejected(self):
-        # a block of one frame of 2**31 slots: block-local slot codes past 2**31
+        # a frame of 2**31 slots: its slot codes leave the plan's uint32 bound
         with pytest.raises(PlanError, match="slot codes"):
             SweepPlan(dist=parse_distribution("3:1.0"), n=2**31, epsilon=0.0, loads=(1e-4,), frames=1)
 
     @pytest.mark.parametrize(
         "n, frames", [(2**22 - 1, 4096), (2**22, 256), (2**22, 4096), (2**31 - 1, 1)]
     )
-    def test_largest_block_for_int32_slot_codes_admitted(self, n, frames, monkeypatch):
-        # blocks shrink as n grows, at any word budget, so every admitted
-        # plan's blocks keep their slot codes below 2**31
+    def test_largest_block_for_int32_slot_codes_admitted(self, n, frames):
+        # blocks shrink as n grows, so every admitted plan's blocks keep
+        # their block-local slot codes below 2**31
         for load in (1e-6, 0.1):
             plan = SweepPlan(dist=parse_distribution("3:1.0"), n=n, epsilon=0.0, loads=(load,), frames=frames)
-            for words in (SAMPLE_WORDS, 2**40):
-                monkeypatch.setattr(harness, "SAMPLE_WORDS", words)
-                for spec in _chunk_specs(plan):
-                    block = _block_frames(spec)
-                    assert block >= 1 and block * n < 2**31, (load, words, block)
+            for spec in _chunk_specs(plan):
+                block = _block_frames(spec)
+                assert block >= 1 and block * n < 2**31, (load, block)
 
     def test_round_half_up(self):
         assert round_half_up(22.5) == 23
