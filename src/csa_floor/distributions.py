@@ -41,10 +41,6 @@ class DomainError(CsaFloorError):
     """Polynomial argument outside [0, 1]."""
 
 
-class ZeroMeanDegree(DistributionError):
-    """Edge-perspective transform undefined for zero mean degree."""
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """Packet erasure channel: each copy lost independently w.p. epsilon."""
@@ -106,19 +102,6 @@ class DegreeDistribution:
         for p in reversed(self.probs):
             acc = acc * x + p
         return acc
-
-    def mean_degree(self) -> float:
-        return math.fsum(l * p for l, p in enumerate(self.probs))
-
-    def edge_perspective(self) -> tuple[float, ...]:
-        """Edge-perspective weights: entry l-1 is l*probs[l] / mean degree.
-
-        Standard transform feeding density evolution; length q, sums to 1.
-        """
-        mean = self.mean_degree()
-        if mean <= 0.0:
-            raise ZeroMeanDegree("edge perspective undefined: mean degree is zero")
-        return tuple(l * p / mean for l, p in enumerate(self.probs) if l >= 1)
 
 
 def validate(raw) -> DegreeDistribution:

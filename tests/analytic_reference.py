@@ -4,18 +4,18 @@ Each function evaluates its formula the direct way: ``rho`` through
 ``multinomial_pmf`` and the class's beta formula on every call,
 ``plr_per_degree`` by scanning every class profile at every degree,
 ``induce`` with the binomial coefficients and powers recomputed per term,
-``threshold`` with a generator sum of ``w * GRID**k`` on the grid and a
-Newton closure, with the package's stop rule, for the refinement near the
-argmin and, when the bound ``-ln(1 - p) / P(1)`` past the grid is below
-that, around the tail argmin, ``average_plr`` over a generator of products,
+``threshold`` with a generator sum of ``w * GRID**k`` on the grid, the
+p -> 0 skip tested on the lambdas themselves, and a Newton closure, with the
+package's stop rule, for the refinement between the grid argmin's
+neighbours, ``average_plr`` over a generator of products,
 and ``to_distribution`` on the raw weights as given, numpy scalars included. The package's kernels precompute and reuse what these
 recompute and skip the adds of zero terms, with the same results in every
 bit, and ``test_analytic_kernels.py`` holds them to bitwise equality.
 
 ``threshold_golden`` is the threshold's earlier formulation, an independent
 oracle rather than a restatement: ``numpy.polynomial.polynomial.polyval``
-over every coefficient on the grid, then golden-section search on f itself
-between the grid argmin's neighbours down to ``REFINE_WIDTH``.
+over every coefficient on its own uniform grid, then golden-section search
+on f itself between the grid argmin's neighbours down to ``REFINE_WIDTH``.
 ``de_recursion`` is the density-evolution recursion itself, iterated from
 q = p = 1 until q moves less than a tolerance: the independent reference
 for ``de_fixed_point``'s root of f(p) = g and for the threshold's split of
@@ -29,21 +29,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from csa_floor.density_evolution import (
-    _GRID,
-    _GRID_NUMERATOR,
-    _TAIL,
-    _TAIL_NUMERATOR,
-    GRID_POINTS,
-    NEWTON_TOL,
-    _check_min_degree,
-)
+from csa_floor.density_evolution import _GRID, _GRID_NUMERATOR, NEWTON_TOL, _check_min_degree
 from csa_floor.distributions import ChannelModel, DegreeDistribution
 from csa_floor.frame_model import SlotCountTooSmall, multinomial_pmf
 from csa_floor.predictor import FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_OUT_OF_VALIDITY, VALIDITY_LIMIT
 from csa_floor.stopping_sets import CATALOG, StoppingSetClass, TooFewUsers
 
-# threshold_golden's bracket width in p and golden-section ratio
+# threshold_golden's grid of 2048 points spaced 1/2049 apart, its bracket
+# width in p and golden-section ratio
+GOLDEN_GRID = np.arange(1, 2049) / 2049
 REFINE_WIDTH = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -76,8 +70,9 @@ def de_recursion(
     sequence is monotone non-increasing).
     """
     _check_min_degree(dist)
-    edge = dist.edge_perspective()  # coefficient for p^(l-1) at index l-1
-    rate = g * dist.mean_degree()
+    dbar = math.fsum(l * lam for l, lam in enumerate(dist.probs))
+    edge = [l * lam / dbar for l, lam in enumerate(dist.probs)][1:]  # coefficient of p^(l-1) at index l-1
+    rate = g * dbar
     q = p = 1.0
     converged = False
     for _ in range(max_iter):
@@ -172,6 +167,11 @@ def threshold(dist: DegreeDistribution) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         values = _GRID_NUMERATOR / sum(w * _GRID**k for k, w in terms)
     i = int(np.argmin(values))
+    limit = 0.5 / dist.probs[2] if dist.probs[2] > 0.0 else math.inf
+    lam2, lam3, lam4 = (dist.probs[l] if l <= dist.q else 0.0 for l in (2, 3, 4))
+    rises = lam2 > 3.0 * lam3 or (lam2 == 3.0 * lam3 and lam2 > 6.0 * lam4)
+    if i == 0 and values[0] >= limit and rises:
+        return min(1.0, limit)
 
     def f(p: float) -> float:
         return -math.log1p(-p) / sum(w * p ** (k - 1) * p for k, w in terms)
@@ -185,53 +185,34 @@ def threshold(dist: DegreeDistribution) -> float:
         slope = ln_u * dh - h
         return h, h * p / slope if slope else math.inf
 
-    def refine(a: float, x: float, b: float) -> float:
-        """f where the safeguarded Newton solve in [a, b] from x stops."""
-        tol = NEWTON_TOL
-        if a > _GRID[-1]:
-            tol = max(tol * (1.0 - a) / (1.0 - float(_GRID[-1])), 2.0**-52)
-        while True:
-            h, step = newton(x)
-            if h < 0.0:
-                a = x
-            else:
-                b = x
-            if abs(step) <= tol or b - a <= tol:
-                return f(x)
-            x -= step
-            if not a < x < b:
-                x = 0.5 * (a + b)
-
-    a = float(_GRID[i - 1]) if i > 0 else 0.0
-    b = float(_GRID[i + 1]) if i + 1 < GRID_POINTS else 1.0
-    x = float(_GRID[i])
-    if 0 < i < GRID_POINTS - 1:
-        left, mid, right = float(values[i - 1]), float(values[i]), float(values[i + 1])
-        if left - 2.0 * mid + right > 0.0:
-            x += 1.0 / (GRID_POINTS + 1) * 0.5 * (left - right) / (left - 2.0 * mid + right)
-    g_star = min(float(values[i]), refine(a, x, b))
-    if _GRID_NUMERATOR[-1] < g_star * sum(w for _, w in terms):
-        with np.errstate(divide="ignore", over="ignore"):
-            tail = _TAIL_NUMERATOR / sum(w * _TAIL**k for k, w in terms)
-        j = int(np.argmin(tail))
-        edges = [float(_GRID[-1]), *_TAIL.tolist(), 1.0]
-        g_star = min(g_star, float(tail[j]), refine(edges[j], edges[j + 1], edges[j + 2]))
-    if dist.probs[2] > 0.0:
-        g_star = min(g_star, 0.5 / dist.probs[2])
-    return min(1.0, g_star)
+    edges = [0.0, *_GRID.tolist(), 1.0]
+    a, x, b = edges[i : i + 3]
+    tol = max(NEWTON_TOL * min(1.0, (1.0 - a) * 2049), 2.0**-52)
+    while True:
+        h, step = newton(x)
+        if h < 0.0:
+            a = x
+        else:
+            b = x
+        if abs(step) <= tol or b - a <= tol:
+            break
+        x -= step
+        if not a < x < b:
+            x = 0.5 * (a + b)
+    return min(1.0, float(values[i]), f(x), limit)
 
 
 def threshold_golden(dist: DegreeDistribution) -> float:
     _check_min_degree(dist)
     weights = [l * lam for l, lam in enumerate(dist.probs)][1:]
-    values = _GRID_NUMERATOR / np.polynomial.polynomial.polyval(_GRID, weights)
+    values = -np.log1p(-GOLDEN_GRID) / np.polynomial.polynomial.polyval(GOLDEN_GRID, weights)
     i = int(np.argmin(values))
 
     def f(p: float) -> float:
         return -math.log1p(-p) / _horner(weights, p)
 
-    a = float(_GRID[i - 1]) if i > 0 else 0.0
-    b = float(_GRID[i + 1]) if i + 1 < GRID_POINTS else 1.0
+    a = float(GOLDEN_GRID[i - 1]) if i > 0 else 0.0
+    b = float(GOLDEN_GRID[i + 1]) if i + 1 < GOLDEN_GRID.size else 1.0
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     while b - a > REFINE_WIDTH:

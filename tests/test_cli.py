@@ -236,26 +236,26 @@ _JSON_OUTPUTS = [
     (
         "optimize",
         ["optimize", "--support", "3,8", "--budget", "5", "--seed", "2"],
-        "81dd7e3f5bf4ca197457ced1079f9c43aa77acc33a35cd5db427c4542aec021a",
+        "fe19e07f36c5b5e9df7aa2e1b78d2a7d5a45d277c7b69020e16089770c0a5ba1",
     ),
     # the 0.5 / lambda_2 threshold limit, eps > 0 and the refinement phase
     (
         "optimize-degree2-eps",
         ["optimize", "--support", "2,3,8", "--eps", "0.03", "--budget", "60", "--seed", "5"],
-        "754a54ac47acc68bfd526e8b394aaa378eb6d6cf0b0d2cbac8eec1a87d1227c4",
+        "35847b77944173b8ecaee68bd238bf8a96d9f8c416027693e1c976c4685a793d",
     ),
     # m = 2 users: the classes of 3 and 4 users have rho 0
     (
         "optimize-two-users",
         ["optimize", "--support", "3,4", "--n", "7", "--g-target", "0.3", "--eps", "0.2"]
         + ["--budget", "20", "--seed", "1"],
-        "712d5c0ce2e2ea69d853675de5cb6c328dbf32034e42d8eee593613b8db29641",
+        "9d56d901b9084e12fcfc0a24071fdc197e6b34ecf475c0aa7d24d1c6e2e5bf24",
     ),
     # a sparse support: the threshold grid sums two powers of eleven coefficients
     (
         "optimize-sparse-support",
         ["optimize", "--support", "3,12", "--eps", "0.1", "--budget", "40", "--seed", "2"],
-        "274c9ce5b9cc48c77837904c32addce7070dbc7e8cce6ac83ee6ad1b081bdde7",
+        "3c93a418eca8dafa8f5e22be04304c29eb902445698b83c8aefd41955322e785",
     ),
 ]
 

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from csa_floor.density_evolution import (
-    _GRID,
-    GRID_POINTS,
-    DegreeOneUnsupported,
-    de_fixed_point,
-    threshold,
-)
+from csa_floor import density_evolution
+from csa_floor.density_evolution import DegreeOneUnsupported, DeResult, de_fixed_point, threshold
 from csa_floor.distributions import ChannelModel, induce, parse_distribution, validate
 from tests import analytic_reference as ref
 
 PURE2 = validate([0, 0, 1.0])
 PURE3 = validate([0, 0, 0, 1.0])
 DENSE_GRID = 200_000
+# a grid of 2048 points spaced 1/2049 apart, on which the tests below state
+# each law's shape
+UNIFORM_POINTS = 2048
+UNIFORM = np.arange(1, UNIFORM_POINTS + 1) / (UNIFORM_POINTS + 1)
 # f has two local minima, near p = 0.72 and p = 0.98, within 1% in value
 BIMODAL = "3:0.9,30:0.1"
 ORACLE_SCAN = 20_000
@@ -28,8 +27,11 @@ ORACLE_WIDTH = Decimal("1e-24")
 # just below g* the recursion stalls in the bottleneck of these: after up to
 # 100000 iterations it still reads 0.487, 0.366 and 0.331
 BOTTLENECKED = ["2:0.25,3:0.6,8:0.15", "3:1.0", BIMODAL]
-# f's minimum is past the last grid point, in a basin narrower than the grid
+# f's minimum is past p = 2048/2049, in a basin narrower than UNIFORM's spacing
 NARROW_BASIN = ["2:0.5,400:0.5", "2:0.5,20000:0.5"]
+# f falls from its p -> 0 limit 1 / (2 lambda_2) to a minimum 5.3e-10 below
+# it at p = 4e-5, left of the first grid point, where f is above the limit
+NEAR_LIMIT = "2:0.74999,3:0.25001"
 
 
 @st.composite
@@ -43,6 +45,25 @@ def laws(draw):
     for degree, w in zip(others, weights):
         probs[degree] = w / math.fsum(weights)
     return validate(probs)
+
+
+@st.composite
+def wide_laws(draw):
+    """Laws that mix 1-2 degrees in 2..5 with 1-2 degrees in 6..20000."""
+    degrees = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2, unique=True))
+    degrees += draw(st.lists(st.integers(6, 20_000), min_size=1, max_size=2, unique=True))
+    weights = [draw(st.floats(0.05, 1.0)) for _ in degrees]
+    probs = [0.0] * (max(degrees) + 1)
+    for degree, w in zip(degrees, weights):
+        probs[degree] = w / math.fsum(weights)
+    return validate(probs)
+
+
+def scan_points():
+    """ORACLE_SCAN points uniform in p and as many uniform in each of
+    -log10(p) and -log10(1 - p) over [2, 12], a float scan for minima of f."""
+    logs = 10.0 ** -np.linspace(2.0, 12.0, ORACLE_SCAN)
+    return np.union1d(np.arange(1, ORACLE_SCAN) / ORACLE_SCAN, np.concatenate((logs, 1.0 - logs)))
 
 
 def dense_grid_threshold(dist):
@@ -60,15 +81,17 @@ def dense_grid_threshold(dist):
 def ratio(dist, p):
     """f(p) = -ln(1-p) / sum_l l lambda_l p^(l-1) at the points of array p."""
     lam = np.asarray(dist.probs)
-    return -np.log1p(-p) / sum(l * lam[l] * p ** (l - 1) for l in range(2, lam.size) if lam[l])
+    with np.errstate(divide="ignore"):  # high powers of small p underflow: f is inf there
+        return -np.log1p(-p) / sum(l * lam[l] * p ** (l - 1) for l in range(2, lam.size) if lam[l])
 
 
 def decimal_threshold(dist) -> Decimal:
     """min(1, inf_p f(p)) to ORACLE_DIGITS digits, with Decimal.ln.
 
-    A float scan of ORACLE_SCAN points finds every local minimum of f; each
-    is refined by golden section in Decimal arithmetic on the exact binary
-    values of the law, and the p -> 0 limit 1 / (2 lambda_2) joins them.
+    A float scan of ORACLE_SCAN points finds every local minimum of f, one
+    left of the first scan point bracketed from p = 0; each is refined by
+    golden section in Decimal arithmetic on the exact binary values of the
+    law, and the p -> 0 limit 1 / (2 lambda_2) joins them.
     """
     with localcontext() as ctx:
         ctx.prec = ORACLE_DIGITS
@@ -77,10 +100,10 @@ def decimal_threshold(dist) -> Decimal:
         def f(p):
             return -(1 - p).ln() / sum(l * lam * p ** (l - 1) for l, lam in terms)
 
-        v = ratio(dist, np.arange(1, ORACLE_SCAN) / ORACLE_SCAN)
+        v = np.concatenate(([np.inf], ratio(dist, np.arange(1, ORACLE_SCAN) / ORACLE_SCAN)))  # p = j / SCAN
         best = 1 / (2 * Decimal(dist.probs[2])) if dist.probs[2] else Decimal(1)
         for j in np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])) + 1:
-            a, b = Decimal(int(j)) / ORACLE_SCAN, Decimal(int(j) + 2) / ORACLE_SCAN  # p[j] +- 1/SCAN
+            a, b = Decimal(int(j) - 1) / ORACLE_SCAN, Decimal(int(j) + 1) / ORACLE_SCAN
             best = min(best, golden_minimum(f, a, b)[0])
         return min(best, Decimal(1))
 
@@ -107,10 +130,10 @@ def decimal_unresolved(dist, g: float) -> Decimal:
     digits, for a load g just above f's infimum.
 
     f's minimizer is refined by golden section in Decimal arithmetic between
-    the neighbours of the argmin of a float scan, uniform in p and in
-    -log10(1 - p). Near the infimum f stays below g only around it, so the
-    root is bisected in Decimal down to ORACLE_WIDTH between the minimizer
-    and the first scan point right of it where f exceeds g.
+    the neighbours of the argmin of ``scan_points``. Near the infimum f
+    stays below g only around it, so the root is bisected in Decimal down
+    to ORACLE_WIDTH between the minimizer and the first scan point right of
+    it where f exceeds g.
     """
     with localcontext() as ctx:
         ctx.prec = ORACLE_DIGITS
@@ -119,7 +142,7 @@ def decimal_unresolved(dist, g: float) -> Decimal:
         def f(p):
             return -(1 - p).ln() / sum(l * lam * p ** (l - 1) for l, lam in terms)
 
-        p = np.union1d(np.arange(1, ORACLE_SCAN) / ORACLE_SCAN, 1.0 - 10.0 ** -np.linspace(2.0, 12.0, ORACLE_SCAN))
+        p = scan_points()
         v = ratio(dist, p)
         j = int(np.argmin(v))
         _, a = golden_minimum(f, Decimal(p[j - 1]), Decimal(p[j + 1]))
@@ -198,12 +221,21 @@ class TestFixedPoint:
         with pytest.raises(ValueError):
             de_fixed_point(PURE2, 0.0)
 
+    @example(PURE2)
+    @example(parse_distribution("2:0.6,4:0.4"))
+    @example(parse_distribution("2:0.75,3:0.25"))
+    @example(parse_distribution(NEAR_LIMIT))
     @given(laws())
     def test_zero_exactly_below_threshold(self, dist):
         g_star = threshold(dist)
         below = de_fixed_point(dist, math.nextafter(g_star, 0.0))
         assert below.unresolved_fraction == 0.0 and below.fixed_point_q == 0.0
-        assert de_fixed_point(dist, g_star).unresolved_fraction > 0.0
+        # at g* the fixed point is 0 when the infimum is the p -> 0 limit,
+        # which f never reaches, and above 0 when f reaches it
+        at = de_fixed_point(dist, g_star)
+        at_limit = dist.probs[2] > 0.0 and g_star == 0.5 / dist.probs[2]
+        assert (at == DeResult(0.0, 0.0)) == at_limit
+        assert (at.unresolved_fraction > 0.0) != at_limit
 
     @pytest.mark.parametrize("text", BOTTLENECKED)
     def test_zero_just_below_threshold(self, text):
@@ -214,7 +246,7 @@ class TestFixedPoint:
         assert res.unresolved_fraction == 0.0 and res.fixed_point_q == 0.0
 
     @pytest.mark.parametrize("excess", [1e-10, 1e-6])
-    @pytest.mark.parametrize("text", BOTTLENECKED + NARROW_BASIN)
+    @pytest.mark.parametrize("text", BOTTLENECKED + NARROW_BASIN + [NEAR_LIMIT])
     def test_matches_decimal_root_just_above_threshold(self, text, excess):
         dist = parse_distribution(text)
         g = threshold(dist) * (1 + excess)
@@ -270,7 +302,18 @@ class TestThreshold:
             assert above.unresolved_fraction > 1e-8
 
     @pytest.mark.parametrize(
-        "text", ["2:1.0", "3:1.0", "4:1.0", "2:0.25,3:0.6,8:0.15", "3:0.5,12:0.5", BIMODAL]
+        "text",
+        [
+            "2:1.0",
+            "3:1.0",
+            "4:1.0",
+            "2:0.25,3:0.6,8:0.15",
+            "3:0.5,12:0.5",
+            BIMODAL,
+            # the grid argmin is the first point and f there is above the
+            # limit, yet f falls from the limit: the solve must run
+            NEAR_LIMIT,
+        ],
     )
     def test_matches_decimal_oracle(self, text):
         dist = parse_distribution(text)
@@ -279,7 +322,7 @@ class TestThreshold:
 
     def test_decimal_oracle_sees_two_minima(self):
         # BIMODAL's second local minimum is within 1% of its first
-        v = ratio(parse_distribution(BIMODAL), _GRID)
+        v = ratio(parse_distribution(BIMODAL), UNIFORM)
         minima = np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])) + 1
         assert len(minima) == 2
         assert max(v[minima]) < 1.01 * min(v[minima])
@@ -293,25 +336,48 @@ class TestThreshold:
         g_star = threshold(dist)
         assert dense_grid_threshold(dist) >= g_star - math.ulp(g_star)
 
+    # degrees in the thousands put f's minimum near 1 - p = 1e-4 or closer,
+    # in a basin far narrower than the spacing of a uniform grid
+    @example(parse_distribution("2:0.5,20000:0.5"))
+    @example(parse_distribution("3:0.9,20000:0.1"))
+    @given(wide_laws())
+    def test_no_scan_point_beats_it_on_high_degrees(self, dist):
+        g_star = threshold(dist)
+        assert min(1.0, ratio(dist, scan_points()).min()) >= g_star - math.ulp(g_star)
+
+    @pytest.mark.parametrize("text", ["2:1.0", "2:0.6,4:0.4", "2:0.75,3:0.25"])
+    def test_limit_taken_without_a_newton_solve(self, monkeypatch, text):
+        # f rises from 1 / (2 lambda_2) as p -> 0, where a solve would only
+        # creep toward the limit; the fixed point at g* is 0 exactly
+        dist = parse_distribution(text)
+
+        def no_solve(*args):
+            raise AssertionError("Newton solve run")
+
+        monkeypatch.setattr(density_evolution, "_newton", no_solve)
+        g_star = threshold(dist)
+        assert g_star == 0.5 / dist.probs[2]
+        assert de_fixed_point(dist, g_star) == DeResult(0.0, 0.0)
+
     @pytest.mark.parametrize(
         "text,argmin",
         [
             ("2:1.0", 0),  # the infimum is the p -> 0 limit
             ("2:0.75,3:0.25", 0),  # f'(0) = 0: H(p) / p has a double root at 0
             ("2:0.6,4:0.4", 0),
-            ("2:0.5,400:0.5", GRID_POINTS - 1),  # minimum at p = 1 - 3e-4
+            ("2:0.5,400:0.5", UNIFORM_POINTS - 1),  # minimum at p = 1 - 3e-4
             (BIMODAL, None),
             ("3:0.89,30:0.11", None),  # the other minimum is the lower one
         ],
     )
     def test_bracket_edges(self, text, argmin):
         dist = parse_distribution(text)
-        v = ratio(dist, _GRID)
+        v = ratio(dist, UNIFORM)
         i = int(np.argmin(v))
         if argmin is not None:
             assert i == argmin
         else:
-            assert 0 < i < GRID_POINTS - 1
+            assert 0 < i < UNIFORM_POINTS - 1
         g_star = threshold(dist)
         assert math.isfinite(g_star)
         assert g_star <= v[i]
@@ -328,11 +394,11 @@ class TestThreshold:
         ],
     )
     def test_minimum_past_the_last_grid_point(self, text, falls_at_last_point):
-        # f's minimum lies near 1 - p = 4e-6, past the grid and far below the
-        # grid minimum, which is not the last grid point
+        # f's minimum lies near 1 - p = 4e-6, past UNIFORM and far below its
+        # minimum, which is not at its last point
         dist = parse_distribution(text)
-        v = ratio(dist, _GRID)
-        assert int(np.argmin(v)) < GRID_POINTS - 1 and (v[-1] < v[-2]) == falls_at_last_point
+        v = ratio(dist, UNIFORM)
+        assert int(np.argmin(v)) < UNIFORM_POINTS - 1 and (v[-1] < v[-2]) == falls_at_last_point
         want = decimal_tail_minimum(dist)
         assert want < Decimal(0.1 * v.min())
         assert abs(Decimal(threshold(dist)) - want) <= Decimal("2e-15") * want

@@ -12,7 +12,6 @@ from csa_floor.distributions import (
     EmptyVector,
     NegativeEntry,
     SumNotOne,
-    ZeroMeanDegree,
     format_distribution,
     induce,
     parse_distribution,
@@ -142,36 +141,6 @@ class TestEvaluate:
         for x in (-0.1, 1.5):
             with pytest.raises(DomainError):
                 ref_dist.evaluate(x)
-
-
-class TestEdgePerspective:
-    def test_pure_degree2(self):
-        assert validate([0, 0, 1.0]).edge_perspective() == (0.0, 1.0)
-
-    def test_half_deg1_half_deg2(self):
-        out = validate([0, 0.5, 0.5]).edge_perspective()
-        assert out == pytest.approx((1 / 3, 2 / 3))
-
-    def test_reference_mixture_degree3_weight(self, ref_dist):
-        # weight 0.6*3 out of total edge mass 0.25*2 + 0.6*3 + 0.15*8 = 3.5
-        assert ref_dist.edge_perspective()[2] == pytest.approx(1.8 / 3.5)
-
-    @given(dists())
-    def test_sums_to_one(self, dist):
-        if dist.mean_degree() == 0.0:
-            return
-        assert math.fsum(dist.edge_perspective()) == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_mean_degree(self):
-        with pytest.raises(ZeroMeanDegree):
-            validate([1.0, 0.0]).edge_perspective()
-
-
-class TestMeanDegree:
-    def test_values(self, ref_dist):
-        assert validate([0, 0, 1.0]).mean_degree() == 2.0
-        assert ref_dist.mean_degree() == pytest.approx(3.5)
-        assert validate([1.0, 0.0]).mean_degree() == 0.0
 
 
 class TestTextFormat:
