@@ -18,8 +18,6 @@ from .frame_model import (
     FrameGraph,
     SlotCountTooSmall,
     UserRecord,
-    multinomial_pmf,
-    profile,
     sample_frame,
 )
 from .harness import SweepPlan, SweepRow, confidence_interval, run_sweep
@@ -81,14 +79,12 @@ __all__ = [
     "format_distribution",
     "induce",
     "is_stopping_set",
-    "multinomial_pmf",
     "objective",
     "optimize",
     "parse_distribution",
     "peel",
     "plr_per_degree",
     "plr_user_perspective",
-    "profile",
     "rho",
     "run_sweep",
     "sample_frame",

@@ -180,16 +180,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_classify(args) -> int:
     rows = run_sweep(_make_plan(args))
-    payload = [
-        {
-            "g": row.g,
-            "m": row.m,
-            "frames": row.frames,
-            "histogram": row.histogram,
-            "histogram_rates": row.histogram_rates,
-        }
-        for row in rows
-    ]
+    keys = ("g", "m", "frames", "histogram", "histogram_rates")
+    payload = [{k: d[k] for k in keys} for d in (row.to_dict() for row in rows)]
     print(dump_json(payload, args.out_json), end="")
     return 0
 

@@ -29,17 +29,15 @@ class DecodeOutcome:
 
     resolved: tuple[bool, ...]
     residual: FrameGraph
-    iterations: int
 
 
 def peel(graph: FrameGraph, rng: np.random.Generator | None = None) -> DecodeOutcome:
     """Run peeling to its fixed point.
 
-    The default schedule consumes singletons in FIFO waves and counts each
-    wave as one iteration. Passing ``rng`` instead resolves one uniformly
-    random singleton per iteration; the resolved set is identical either way
-    (order independence), so the knob exists purely to let tests exercise
-    that property.
+    The default schedule consumes singletons in FIFO waves. Passing ``rng``
+    instead resolves one uniformly random singleton at a time; the resolved
+    set is identical either way (order independence), so the knob exists
+    purely to let tests exercise that property.
     """
     slot_users: dict[int, set[int]] = {}
     for idx, user in enumerate(graph.users):
@@ -47,7 +45,6 @@ def peel(graph: FrameGraph, rng: np.random.Generator | None = None) -> DecodeOut
             slot_users.setdefault(s, set()).add(idx)
 
     resolved = [False] * len(graph.users)
-    iterations = 0
 
     def resolve(user_idx: int):
         resolved[user_idx] = True
@@ -60,7 +57,6 @@ def peel(graph: FrameGraph, rng: np.random.Generator | None = None) -> DecodeOut
     if rng is None:
         queue = deque(s for s, occ in slot_users.items() if len(occ) == 1)
         while queue:
-            iterations += 1
             next_wave: deque[int] = deque()
             for s in queue:
                 occ = slot_users.get(s)
@@ -78,7 +74,6 @@ def peel(graph: FrameGraph, rng: np.random.Generator | None = None) -> DecodeOut
             singles = sorted(s for s, occ in slot_users.items() if len(occ) == 1)
             if not singles:
                 break
-            iterations += 1
             s = singles[int(rng.integers(len(singles)))]
             resolve(next(iter(slot_users[s])))
 
@@ -88,5 +83,4 @@ def peel(graph: FrameGraph, rng: np.random.Generator | None = None) -> DecodeOut
     return DecodeOutcome(
         resolved=tuple(resolved),
         residual=FrameGraph(n=graph.n, users=residual_users),
-        iterations=iterations,
     )

@@ -40,10 +40,6 @@ class UserRecord:
     original_degree: int
     slots: frozenset[int]
 
-    @property
-    def received_degree(self) -> int:
-        return len(self.slots)
-
 
 @dataclass(frozen=True)
 class FrameGraph:
@@ -126,35 +122,3 @@ def sample_frame(config: FrameConfig, rng: np.random.Generator) -> FrameGraph:
         for u, d in enumerate(deg.tolist())
     )
     return FrameGraph(n=config.n, users=users)
-
-
-def profile(graph: FrameGraph, q: int | None = None) -> tuple[int, ...]:
-    """Graph profile: entry l counts users with l surviving copies."""
-    degrees = [u.received_degree for u in graph.users]
-    if q is None:
-        q = max(degrees, default=0)
-    counts = [0] * (q + 1)
-    for d in degrees:
-        counts[d] += 1
-    return tuple(counts)
-
-
-def multinomial_pmf(u, dist: DegreeDistribution, m: int) -> float:
-    """Probability that m users drawn from dist have profile u.
-
-    Returns 0 when the profile total differs from m or when it puts users on
-    degrees beyond the distribution's range.
-    """
-    counts = [int(c) for c in u]
-    if any(c < 0 for c in counts):
-        raise ValueError(f"profile entries must be non-negative, got {u}")
-    if sum(counts) != m:
-        return 0.0
-    if len(counts) > dist.q + 1 and any(c > 0 for c in counts[dist.q + 1 :]):
-        return 0.0
-    value = float(math.factorial(m))
-    for l, c in enumerate(counts):
-        if c == 0:
-            continue
-        value *= dist.probs[l] ** c / math.factorial(c)
-    return value

@@ -168,8 +168,10 @@ class SweepPlan:
             raise PlanError("need at least one load point")
         chunk = min(self.frames, CHUNK_FRAMES)
         for g, m in zip(loads, self.users):
-            # block-local user ids must fit the labeller's int32 labels and the
-            # peel's 32 packed bits; per chunk, it also caps per-user arrays
+            # caps the chunk's per-user arrays: two int16 degree matrices and
+            # the resolved flags, 3-5 bytes per user. User ids need no cap:
+            # they are block-local, and a block's rows are at least 2m words
+            # wide, so ids stay below max(2**17, m) at any chunk size
             if chunk * m >= 2**31:
                 raise PlanError(
                     f"load {g} at n = {self.n} puts {m} users in a frame, too "

@@ -72,6 +72,8 @@ class ObjectiveSpec:
             raise CsaFloorError(
                 f"g_target {self.g_target} at n = {self.n} rounds to zero users"
             )
+        if support[-1] > self.n:
+            raise CsaFloorError(f"n = {self.n} cannot host degree-{support[-1]} users")
 
     @cached_property
     def m(self) -> int:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .distributions import ChannelModel, DegreeDistribution, induce
+from .frame_model import SlotCountTooSmall
 from .stopping_sets import CATALOG, rho
 
 # Per-degree annotations attached to analytic reports.
@@ -54,17 +55,8 @@ class PlrReport:
     flags: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "per_degree": list(self.per_degree),
-            "user_perspective": list(self.user_perspective),
-            "average": self.average,
-            "m": self.m,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "distribution": list(self.distribution),
-            "source": self.source,
-            "flags": list(self.flags),
-        }
+        """The report's fields, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def plr_per_degree(
@@ -138,6 +130,9 @@ def analytic_report(
     m: int, n: int, original: DegreeDistribution, channel: ChannelModel
 ) -> PlrReport:
     """Full analytic prediction for one (m, n, distribution, channel) point."""
+    need = original.max_support_degree()
+    if n < need:
+        raise SlotCountTooSmall(f"n = {n} cannot host degree-{need} users")
     induced_dist = induce(original, channel)
     p, flags = plr_per_degree(m, n, induced_dist)
     return PlrReport(

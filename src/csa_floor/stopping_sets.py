@@ -11,8 +11,9 @@ its profile (user counts by degree) is read off the topology.
 ``rho`` is evaluated once per class per analytic report or optimizer step,
 so each class precomputes its size, ``float(s!)`` and its ``(degree, count,
 count!)`` terms, and caches ``beta`` per frame length. From these ``alpha``
-and ``rho`` reproduce ``C(m, s) * multinomial_pmf(...) * beta`` bit for bit,
-and the tests hold them to it.
+and ``rho`` reproduce, bit for bit, the term-by-term ``C(m, s) *
+multinomial(profile) * beta`` of ``tests/analytic_reference``, and the tests
+hold them to it.
 
 A stopping set's signature is its profile and the number of distinct slots
 it occupies. Among stopping sets, the signature alone fixes the catalog
@@ -34,7 +35,7 @@ from typing import Callable, Sequence
 
 from .distributions import DegreeDistribution
 from .errors import CsaFloorError
-from .frame_model import FrameGraph, SlotCountTooSmall, UserRecord
+from .frame_model import FrameGraph, SlotCountTooSmall
 
 DEGREE0_LABEL = "Degree0"
 OTHER_LABEL = "Other"
@@ -64,8 +65,7 @@ class StoppingSetClass:
     @cached_property
     def profile(self) -> tuple[int, ...]:
         """User counts by degree, read off the topology."""
-        degrees = [len(u) for u in self.topology]
-        return tuple(degrees.count(l) for l in range(max(degrees) + 1))
+        return self.signature[0]
 
     @cached_property
     def signature(self) -> tuple[tuple[int, ...], int]:
@@ -161,8 +161,9 @@ def alpha(sclass: StoppingSetClass, m: int, induced: DegreeDistribution) -> floa
     Equals C(m, s) times the multinomial probability that s users drawn from
     the induced distribution realize the class profile, where s is the class
     size. The probability is s! * prod_l lambda_l^c_l / c_l! over the class's
-    per-degree counts c_l, multiplied in degree order as
-    ``frame_model.multinomial_pmf`` does, without its per-call validation.
+    per-degree counts c_l, multiplied in degree order as the reference
+    ``alpha`` in ``tests/analytic_reference`` does, without its per-call
+    validation.
     """
     s = sclass.size
     if m < s:
@@ -238,16 +239,3 @@ def classify(fragment: FrameGraph) -> str:
         return OTHER_LABEL
     sclass = CATALOG_BY_SIGNATURE.get(signature(slot_sets))
     return sclass.id if sclass else OTHER_LABEL
-
-
-def instantiate(
-    sclass: StoppingSetClass, slot_map: dict[str, int], n: int
-) -> FrameGraph:
-    """Concrete FrameGraph for a catalog topology under a slot-label mapping."""
-    users = tuple(
-        UserRecord(
-            original_degree=len(u), slots=frozenset(slot_map[l] for l in u)
-        )
-        for u in sclass.topology
-    )
-    return FrameGraph(n=n, users=users)

@@ -31,7 +31,7 @@ import numpy as np
 
 from csa_floor.density_evolution import _GRID, _GRID_NUMERATOR, NEWTON_TOL, _check_min_degree
 from csa_floor.distributions import ChannelModel, DegreeDistribution
-from csa_floor.frame_model import SlotCountTooSmall, multinomial_pmf
+from csa_floor.frame_model import SlotCountTooSmall
 from csa_floor.predictor import FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_OUT_OF_VALIDITY, VALIDITY_LIMIT
 from csa_floor.stopping_sets import CATALOG, StoppingSetClass, TooFewUsers
 
@@ -85,6 +85,27 @@ def de_recursion(
         if converged:
             break
     return Recursion(q, _horner(dist.probs, p), converged)
+
+
+def multinomial_pmf(u, dist: DegreeDistribution, m: int) -> float:
+    """Probability that m users drawn from dist have profile u.
+
+    Returns 0 when the profile total differs from m or when it puts users on
+    degrees beyond the distribution's range.
+    """
+    counts = [int(c) for c in u]
+    if any(c < 0 for c in counts):
+        raise ValueError(f"profile entries must be non-negative, got {u}")
+    if sum(counts) != m:
+        return 0.0
+    if len(counts) > dist.q + 1 and any(c > 0 for c in counts[dist.q + 1 :]):
+        return 0.0
+    value = float(math.factorial(m))
+    for l, c in enumerate(counts):
+        if c == 0:
+            continue
+        value *= dist.probs[l] ** c / math.factorial(c)
+    return value
 
 
 def beta(sclass: StoppingSetClass, n: int) -> float:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -355,6 +356,19 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert "g_target 0.1 at n = 4 rounds to zero users" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--dist", "3:0.5,300:0.5", "--g", "0.5"],
+            ["optimize", "--support", "3,300", "--budget", "20"],
+            ["simulate", "--dist", "3:0.5,300:0.5", "--g", "0.5", "--frames", "10"],
+        ],
+        ids=["predict", "optimize", "simulate"],
+    )
+    def test_degree_above_n_exits_1(self, capsys, argv):
+        assert main(argv + ["--n", "200"]) == 1
+        assert "error: n = 200 cannot host degree-300 users" in capsys.readouterr().err
+
     def test_negative_seed_exits_1(self, capsys):
         argv = ["simulate", "--dist", "2:1.0", "--n", "10", "--g", "0.5", "--frames", "10"]
         assert main(argv + ["--seed", "-1"]) == 1
@@ -468,3 +482,17 @@ def test_import_leaves_scipy_unloaded():
     out = _run_child("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_all_lists_exactly_the_public_bindings():
+    names = csa_floor.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(csa_floor, name)] == []
+    tree = ast.parse(Path(csa_floor.__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert set(names) == {name for name in bound if not name.startswith("_")}

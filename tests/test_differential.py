@@ -444,7 +444,7 @@ def test_sampler_blocks_and_spare_overflow_match_reference(monkeypatch):
         graph = sample_frame(cfg, frame_generator(spec.seed, spec.point_index, frame_lo + row))
         assert _slot_sets(codes, indptr, m, row) == [u.slots for u in graph.users]
         assert orig[row].tolist() == [u.original_degree for u in graph.users]
-        assert recv[row].tolist() == [u.received_degree for u in graph.users]
+        assert recv[row].tolist() == [len(u.slots) for u in graph.users]
         outcome = peel(graph)
         assert resolved[row].tolist() == list(outcome.resolved)
         expected_hist.update(classify(c) for c in components(outcome.residual))

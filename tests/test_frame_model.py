@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 from csa_floor.distributions import ChannelModel, induce, validate
-from csa_floor.frame_model import (
-    FrameConfig,
-    SlotCountTooSmall,
-    multinomial_pmf,
-    profile,
-    sample_frame,
-)
+from csa_floor.frame_model import FrameConfig, SlotCountTooSmall, sample_frame
+from tests import analytic_reference as ref
 
 
 def _config(m, n, probs, eps=0.0):
@@ -40,7 +35,7 @@ class TestSampleFrame:
                 FrameConfig(m=12, n=9, dist=ref_dist, channel=ChannelModel(0.2)), rng
             )
             for u in graph.users:
-                assert u.received_degree <= u.original_degree <= 8
+                assert len(u.slots) <= u.original_degree <= 8
                 assert all(0 <= s < 9 for s in u.slots)
 
     def test_deterministic_given_seed(self, ref_dist):
@@ -54,35 +49,17 @@ class TestSampleFrame:
             FrameConfig(m=3, n=7, dist=ref_dist)  # the degree-8 tail needs 8 slots
 
 
-class TestProfile:
-    def test_empty(self, rng):
-        graph = sample_frame(_config(0, 5, [0, 0, 1.0]), rng)
-        assert profile(graph, q=2) == (0, 0, 0)
-
-    def test_two_identical_degree2_users(self, rng):
-        graph = sample_frame(_config(2, 2, [0, 0, 1.0]), rng)
-        assert profile(graph) == (0, 0, 2)
-
-    def test_counts_by_surviving_cardinality(self, rng):
-        from csa_floor.frame_model import FrameGraph, UserRecord
-
-        graph = FrameGraph(
-            n=10, users=(UserRecord(3, frozenset({4})),)
-        )  # two copies erased
-        assert profile(graph, q=3) == (0, 1, 0, 0)
-
-
 class TestMultinomialPmf:
     def test_examples(self):
-        assert multinomial_pmf([1, 1], validate([0.5, 0.5]), 2) == pytest.approx(0.5)
-        assert multinomial_pmf([0, 2], validate([0.75, 0.25]), 2) == pytest.approx(
+        assert ref.multinomial_pmf([1, 1], validate([0.5, 0.5]), 2) == pytest.approx(0.5)
+        assert ref.multinomial_pmf([0, 2], validate([0.75, 0.25]), 2) == pytest.approx(
             0.0625
         )
-        assert multinomial_pmf([1, 0], validate([0.5, 0.5]), 2) == 0.0
+        assert ref.multinomial_pmf([1, 0], validate([0.5, 0.5]), 2) == 0.0
 
     def test_negative_profile_rejected(self):
         with pytest.raises(ValueError):
-            multinomial_pmf([-1, 3], validate([0.5, 0.5]), 2)
+            ref.multinomial_pmf([-1, 3], validate([0.5, 0.5]), 2)
 
     @pytest.mark.parametrize("m,q", [(m, q) for m in range(1, 7) for q in range(1, 4)])
     def test_sums_to_one_exhaustively(self, m, q):
@@ -91,7 +68,7 @@ class TestMultinomialPmf:
         total = 0.0
         for u in itertools.product(range(m + 1), repeat=q + 1):
             if sum(u) == m:
-                total += multinomial_pmf(u, dist, m)
+                total += ref.multinomial_pmf(u, dist, m)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -105,7 +82,8 @@ class TestStatistics:
         rng = np.random.default_rng(42)
         sums = np.zeros(4)
         for _ in range(frames):
-            sums += profile(sample_frame(cfg, rng), q=3)
+            graph = sample_frame(cfg, rng)
+            sums += np.bincount([len(u.slots) for u in graph.users], minlength=4)
         for l in range(4):
             mean = sums[l] / frames
             expect = m * induced.probs[l]

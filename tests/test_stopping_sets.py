@@ -17,7 +17,6 @@ from csa_floor.stopping_sets import (
     beta_exact,
     classify,
     components,
-    instantiate,
     is_stopping_set,
     rho,
 )
@@ -45,7 +44,8 @@ def build(n, *slot_sets):
 def random_instance(sclass, n, rng):
     labels = sorted({l for u in sclass.topology for l in u})
     slots = rng.choice(n, size=len(labels), replace=False)
-    return instantiate(sclass, dict(zip(labels, (int(s) for s in slots))), n)
+    slot_map = dict(zip(labels, (int(s) for s in slots)))
+    return build(n, *({slot_map[l] for l in u} for u in sclass.topology))
 
 
 class TestCatalog:
