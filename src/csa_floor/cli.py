@@ -18,13 +18,13 @@ from .decoder import DegreeKeying
 from .density_evolution import threshold
 from .distributions import ChannelModel, format_distribution, induce, parse_distribution
 from .errors import CsaFloorError
+from .frame_model import load_users
 from .harness import (
     CSV_HEADER,
     SweepPlan,
     csv_line,
     csv_lines,
     dump_json,
-    load_users,
     run_sweep,
     write_csv_lines,
 )
@@ -149,8 +149,7 @@ def _cmd_predict(args) -> int:
     if args.out_csv:
         lines = [CSV_HEADER]
         for g, m, rep in reports:
-            per = rep.per_degree if keying is DegreeKeying.INDUCED else rep.user_perspective
-            for degree, value in [*enumerate(per), ("avg", rep.average)]:
+            for degree, value in [*enumerate(rep.keyed(keying)), ("avg", rep.average)]:
                 lines.append(csv_line(g, m, args.n, 0, degree, "", "", value, keying.value))
         write_csv_lines(lines, args.out_csv)
     return 0

@@ -38,7 +38,9 @@ class SumNotOne(DistributionError):
 
 
 class DomainError(CsaFloorError):
-    """Polynomial argument outside [0, 1]."""
+    """A number outside its domain: a polynomial argument or an erasure
+    probability outside [0, 1], or a load outside (0, 2] or too small to
+    put a user in the frame (``frame_model.load_users``)."""
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ChannelModel, DegreeDistribution
+from .distributions import ChannelModel, DegreeDistribution, DomainError
 from .errors import CsaFloorError
 
 
 class SlotCountTooSmall(CsaFloorError):
-    """Frame has fewer slots than the largest drawable degree needs."""
+    """Frame too short: fewer slots than the largest degree needs, or than
+    the catalog's beta formulas need (``stopping_sets.check_frame_length``)."""
+
+
+def check_hosting(n: int, degree: int):
+    """The hosting rule: a frame of n slots hosts users of degree at most n,
+    who place their copies in distinct slots."""
+    if n < degree:
+        raise SlotCountTooSmall(f"n = {n} cannot host degree-{degree} users")
 
 
 def round_half_up(x: float) -> int:
     """Nearest integer, halves up; a frame of n slots at load g has
     round_half_up(g * n) users."""
     return int(math.floor(x + 0.5))
+
+
+def load_users(g: float, n: int) -> int:
+    """The load rule: users at load g in frames of n slots,
+    ``round_half_up(g * n)``; DomainError unless g is in (0, 2] and they
+    are at least one."""
+    if not 0.0 < g <= 2.0:
+        raise DomainError(f"load must be in (0, 2], got {g}")
+    m = round_half_up(g * n)
+    if m < 1:
+        raise DomainError(f"load {g} at n = {n} rounds to zero users")
+    return m
 
 
 @dataclass(frozen=True)
@@ -65,11 +85,7 @@ class FrameConfig:
             raise ValueError(f"user count must be non-negative, got {self.m}")
         if self.n < 1:
             raise ValueError(f"slot count must be positive, got {self.n}")
-        need = self.dist.max_support_degree()
-        if self.n < need:
-            raise SlotCountTooSmall(
-                f"n = {self.n} slots cannot host degree-{need} users"
-            )
+        check_hosting(self.n, self.dist.max_support_degree())
 
 
 def draw_frame(rng: np.random.Generator, cdf: np.ndarray, n: int, m: int, eps: float):

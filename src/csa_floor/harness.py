@@ -62,9 +62,9 @@ from numpy.random import Generator, Philox
 from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution
 from .errors import CsaFloorError
-from .frame_model import draw_frame, round_half_up
+from .frame_model import check_hosting, draw_frame, load_users
 from .predictor import analytic_report
-from .stopping_sets import CATALOG, DEGREE0_LABEL, MIN_FRAME_LENGTH, OTHER_LABEL
+from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, check_frame_length
 
 CHUNK_FRAMES = 4096
 # words per block of every chunk kernel (2 MB of float64 uniforms): a block
@@ -122,17 +122,6 @@ def confidence_interval(successes: int, trials: int) -> tuple[float, float]:
     return phat, half
 
 
-def load_users(g: float, n: int) -> int:
-    """Users at load g in frames of n slots, ``round_half_up(g * n)``;
-    PlanError unless g is in (0, 2] and they are at least one."""
-    if not 0.0 < g <= 2.0:
-        raise PlanError(f"loads must be in (0, 2], got {g}")
-    m = round_half_up(g * n)
-    if m < 1:
-        raise PlanError(f"load {g} at n = {n} rounds to zero users")
-    return m
-
-
 @dataclass(frozen=True)
 class SweepPlan:
     """One simulation campaign over a grid of channel loads."""
@@ -151,13 +140,13 @@ class SweepPlan:
     def __post_init__(self):
         if self.frames < 1:
             raise PlanError(f"frames must be >= 1, got {self.frames}")
-        # the analytic overlay's catalog beta formulas need MIN_FRAME_LENGTH slots;
+        # the analytic overlay needs the catalog's frame length
+        check_frame_length(self.n)
         # below 2**31 a frame's slot codes fit uint32, which the peel and the
         # labeller add to intp offsets exactly: numpy adds uint64 to intp in float64
-        if not MIN_FRAME_LENGTH <= self.n < 2**31:
-            raise PlanError(f"n must be >= {MIN_FRAME_LENGTH} and below 2**31 for uint32 frame-local slot codes, got {self.n}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise PlanError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        if self.n >= 2**31:
+            raise PlanError(f"n must be below 2**31 for uint32 frame-local slot codes, got {self.n}")
+        _ = self.channel  # the erasure-probability rule
         if self.workers < 1:
             raise PlanError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.seed < 2**64:
@@ -178,8 +167,7 @@ class SweepPlan:
                     f"many for chunks of {chunk} frames"
                 )
         l = self.dist.max_support_degree()
-        if self.n < l:
-            raise PlanError(f"n = {self.n} cannot host degree-{l} users")
+        check_hosting(self.n, l)
         # slots are placed by whole-row rejection, which crawls near l = n
         redraws = _row_redraws(l, self.n)
         if redraws > MAX_ROW_REDRAWS:
@@ -192,6 +180,10 @@ class SweepPlan:
     def users(self) -> tuple[int, ...]:
         """Users in a frame at each load, ``load_users(g, n)``."""
         return tuple(load_users(g, self.n) for g in self.loads)
+
+    @cached_property
+    def channel(self) -> ChannelModel:
+        return ChannelModel(self.epsilon)
 
 
 @dataclass
@@ -660,15 +652,9 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
     for point_index, record in results:
         counts[point_index] += record
 
-    channel = ChannelModel(plan.epsilon)
     rows = []
     for g, m, row in zip(plan.loads, plan.users, counts.tolist()):
-        report = analytic_report(m, plan.n, plan.dist, channel)
-        analytic = (
-            report.per_degree
-            if plan.keying is DegreeKeying.INDUCED
-            else report.user_perspective
-        )
+        report = analytic_report(m, plan.n, plan.dist, plan.channel)
         tot, unres, hist = row[: q + 1], row[q + 1 : 2 * (q + 1)], row[2 * (q + 1) :]
         # a degree no user drew reads 0 with no interval
         plr_sim, ci = zip(*(confidence_interval(u, t) if t else (0.0, 0.0) for u, t in zip(unres, tot)))
@@ -687,7 +673,7 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
                 unresolved=tuple(unres),
                 plr_sim=plr_sim,
                 ci95=ci,
-                plr_analytic=tuple(analytic),
+                plr_analytic=report.keyed(plan.keying),
                 avg_sim=avg_sim,
                 avg_ci95=avg_ci,
                 avg_analytic=report.average,

@@ -29,9 +29,9 @@ import numpy as np
 from .distributions import ChannelModel, DegreeDistribution, induce
 from .density_evolution import threshold
 from .errors import CsaFloorError
-from .frame_model import round_half_up
+from .frame_model import check_hosting, load_users
 from .predictor import average_plr, plr_per_degree
-from .stopping_sets import MIN_FRAME_LENGTH
+from .stopping_sets import check_frame_length
 
 FLOOR_LOG_CAP = 5.0
 
@@ -62,23 +62,16 @@ class ObjectiveSpec:
                 raise CsaFloorError(f"{name} must be finite and non-negative, got {value}")
         if self.w_threshold + self.w_floor <= 0.0:
             raise CsaFloorError("at least one weight must be positive")
-        if not 0.0 < self.g_target <= 2.0:
-            raise CsaFloorError(f"g_target must be in (0, 2], got {self.g_target}")
-        if self.n < MIN_FRAME_LENGTH:
-            raise CsaFloorError(f"frame length must be >= {MIN_FRAME_LENGTH}, got {self.n}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise CsaFloorError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.m < 1:
-            raise CsaFloorError(
-                f"g_target {self.g_target} at n = {self.n} rounds to zero users"
-            )
-        if support[-1] > self.n:
-            raise CsaFloorError(f"n = {self.n} cannot host degree-{support[-1]} users")
+        check_frame_length(self.n)
+        # the erasure-probability and load rules; a zero-user point is
+        # reported before the hosting rule runs
+        _ = self.channel, self.m
+        check_hosting(self.n, support[-1])
 
     @cached_property
     def m(self) -> int:
         """Users in a frame of the design point."""
-        return round_half_up(self.g_target * self.n)
+        return load_users(self.g_target, self.n)
 
     @cached_property
     def channel(self) -> ChannelModel:

@@ -21,7 +21,7 @@ from itertools import combinations, permutations, product
 
 from .decoder import peel
 from .errors import CsaFloorError
-from .frame_model import FrameGraph, SlotCountTooSmall, UserRecord
+from .frame_model import FrameGraph, UserRecord, check_hosting
 from .stopping_sets import StoppingSetClass, classify, components
 
 MAX_ENUMERATION = 10**8
@@ -47,8 +47,7 @@ def exact_beta(sclass: StoppingSetClass, n: int) -> Fraction:
     user orders, where ``c_d`` counts the users of degree ``d`` and
     ``mult_S`` those on the slot-label set ``S``.
     """
-    if n < sclass.max_degree:
-        raise SlotCountTooSmall(f"class {sclass.id} needs n >= {sclass.max_degree}, got {n}")
+    check_hosting(n, sclass.max_degree)
     users = Counter(sclass.topology)
     labels = sorted(frozenset().union(*users))
     automorphisms = sum(
@@ -85,8 +84,7 @@ def exact_event_probabilities(degrees, n: int) -> ExactEventTally:
     degrees = tuple(int(d) for d in degrees)
     if any(d < 0 for d in degrees):
         raise CsaFloorError(f"degrees must be non-negative, got {degrees}")
-    if any(d > n for d in degrees):
-        raise CsaFloorError(f"degree larger than slot count {n}: {degrees}")
+    check_hosting(n, max(degrees, default=0))
     total = _assignment_space(degrees, n)
     if total > MAX_ENUMERATION:
         raise EnumerationTooLarge(

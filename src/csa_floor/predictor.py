@@ -19,9 +19,10 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field
 
+from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution, induce
-from .frame_model import SlotCountTooSmall
-from .stopping_sets import CATALOG, rho
+from .frame_model import check_hosting
+from .stopping_sets import CATALOG, check_frame_length, rho
 
 # Per-degree annotations attached to analytic reports.
 FLAG_OK = ""
@@ -57,6 +58,11 @@ class PlrReport:
     def to_dict(self) -> dict:
         """The report's fields, tuples as lists."""
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+
+    def keyed(self, keying: DegreeKeying) -> tuple[float, ...]:
+        """Per-degree rates as ``keying`` counts degrees: ``per_degree`` by
+        received degree, ``user_perspective`` by transmitted degree."""
+        return self.per_degree if keying is DegreeKeying.INDUCED else self.user_perspective
 
 
 def plr_per_degree(
@@ -130,9 +136,8 @@ def analytic_report(
     m: int, n: int, original: DegreeDistribution, channel: ChannelModel
 ) -> PlrReport:
     """Full analytic prediction for one (m, n, distribution, channel) point."""
-    need = original.max_support_degree()
-    if n < need:
-        raise SlotCountTooSmall(f"n = {n} cannot host degree-{need} users")
+    check_frame_length(n)
+    check_hosting(n, original.max_support_degree())
     induced_dist = induce(original, channel)
     p, flags = plr_per_degree(m, n, induced_dist)
     return PlrReport(

@@ -148,10 +148,16 @@ def beta(sclass: StoppingSetClass, n: int) -> float:
     return value
 
 
-def beta_exact(sclass: StoppingSetClass, n: int) -> Fraction:
-    """Same formula as beta() evaluated in exact rational arithmetic."""
+def check_frame_length(n: int):
+    """The frame-length rule: the catalog's beta formulas, and so every
+    analytic rate, need frames of at least MIN_FRAME_LENGTH slots."""
     if n < MIN_FRAME_LENGTH:
         raise SlotCountTooSmall(f"catalog beta formulas need n >= {MIN_FRAME_LENGTH}, got {n}")
+
+
+def beta_exact(sclass: StoppingSetClass, n: int) -> Fraction:
+    """Same formula as beta() evaluated in exact rational arithmetic."""
+    check_frame_length(n)
     return sclass.beta_fn(Fraction(n))
 
 

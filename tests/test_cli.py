@@ -354,7 +354,7 @@ class TestErrorPaths:
         # round(0.1 * 4) = 0: refused before the search starts
         argv = ["optimize", "--support", "3,8", "--g-target", "0.1", "--n", "4"]
         assert main(argv) == 1
-        assert "g_target 0.1 at n = 4 rounds to zero users" in capsys.readouterr().err
+        assert "error: load 0.1 at n = 4 rounds to zero users" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -394,11 +394,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "load, message",
         [
-            ("inf", "loads must be in (0, 2], got inf"),
-            ("nan", "loads must be in (0, 2], got nan"),
-            ("-0.5", "loads must be in (0, 2], got -0.5"),
-            ("0", "loads must be in (0, 2], got 0.0"),
-            ("3", "loads must be in (0, 2], got 3.0"),
+            ("inf", "load must be in (0, 2], got inf"),
+            ("nan", "load must be in (0, 2], got nan"),
+            ("-0.5", "load must be in (0, 2], got -0.5"),
+            ("0", "load must be in (0, 2], got 0.0"),
+            ("3", "load must be in (0, 2], got 3.0"),
             ("0.001", "load 0.001 at n = 200 rounds to zero users"),
         ],
     )
@@ -406,6 +406,93 @@ class TestErrorPaths:
         # checked as simulate checks them, before g * n is rounded
         assert main(["predict", "--dist", "2:0.5,3:0.5", "--n", "200", f"--g={load}"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dist", "2:1.0", "--n", "2", "--g", "0.5"],
+            ["--dist", "2:1.0", "--n", "3", "--g", "0.3"],
+            ["--dist", "2:1.0", "--n", "3", "--g", "1"],
+        ],
+        ids=["n2", "n3-no-class-fits", "n3"],
+    )
+    def test_predict_below_catalog_frame_length_exits_1(self, capsys, argv):
+        # simulate and optimize refuse these frames too; predict printed
+        # avg_plr=0 where no class had enough users to reach a beta formula
+        assert main(["predict", *argv]) == 1
+        n = argv[argv.index("--n") + 1]
+        assert capsys.readouterr().err == f"error: catalog beta formulas need n >= 4, got {n}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=f"{rule}-{argv[0]}{'-' + argv[1][2:] if argv[0] == 'oracle' else ''}")
+            for rule, message, argvs in [
+                (
+                    "eps",
+                    "erasure probability must be in [0, 1], got 1.5",
+                    [
+                        ["simulate", "--dist", "2:0.5,3:0.5", "--g", "0.5", "--frames", "10", "--eps", "1.5"],
+                        ["classify", "--dist", "2:0.5,3:0.5", "--g", "0.5", "--frames", "10", "--eps", "1.5"],
+                        ["predict", "--dist", "2:0.5,3:0.5", "--g", "0.5", "--eps", "1.5"],
+                        ["induce", "--dist", "2:0.5,3:0.5", "--eps", "1.5"],
+                        ["optimize", "--support", "2,3", "--budget", "20", "--eps", "1.5"],
+                    ],
+                ),
+                (
+                    "n3",
+                    "catalog beta formulas need n >= 4, got 3",
+                    [
+                        ["simulate", "--dist", "2:0.5,3:0.5", "--g", "0.5", "--frames", "10", "--n", "3"],
+                        ["predict", "--dist", "2:0.5,3:0.5", "--g", "0.5", "--n", "3"],
+                        ["optimize", "--support", "2,3", "--budget", "20", "--n", "3"],
+                    ],
+                ),
+                (
+                    "degree300",
+                    "n = 200 cannot host degree-300 users",
+                    [
+                        ["simulate", "--dist", "3:0.5,300:0.5", "--g", "0.5", "--frames", "10", "--n", "200"],
+                        ["predict", "--dist", "3:0.5,300:0.5", "--g", "0.5", "--n", "200"],
+                        ["optimize", "--support", "3,300", "--budget", "20", "--n", "200"],
+                        ["oracle", "--degrees", "2,300", "--n", "200"],
+                    ],
+                ),
+                (
+                    "degree3",
+                    "n = 2 cannot host degree-3 users",
+                    [
+                        ["oracle", "--sclass", "S8", "--n", "2"],
+                        ["oracle", "--degrees", "2,3", "--n", "2"],
+                    ],
+                ),
+                (
+                    "g3",
+                    "load must be in (0, 2], got 3.0",
+                    [
+                        ["simulate", "--dist", "2:0.5,3:0.5", "--g", "3", "--frames", "10"],
+                        ["predict", "--dist", "2:0.5,3:0.5", "--g", "3"],
+                        ["optimize", "--support", "2,3", "--budget", "20", "--g-target", "3"],
+                    ],
+                ),
+                (
+                    "g0.001",
+                    "load 0.001 at n = 200 rounds to zero users",
+                    [
+                        ["simulate", "--dist", "2:0.5,3:0.5", "--g", "0.001", "--frames", "10"],
+                        ["predict", "--dist", "2:0.5,3:0.5", "--g", "0.001"],
+                        ["optimize", "--support", "2,3", "--budget", "20", "--g-target", "0.001"],
+                    ],
+                ),
+            ]
+            for argv in argvs
+        ],
+    )
+    def test_one_message_per_rule(self, capsys, argv, message):
+        # each design-point rule has one owner, so every command that takes
+        # the bad value refuses it with the owner's message and exit code 1
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",

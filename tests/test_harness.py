@@ -8,7 +8,8 @@ from scipy.stats import binomtest
 
 from csa_floor import harness
 from csa_floor.decoder import DegreeKeying
-from csa_floor.distributions import ChannelModel, parse_distribution, validate
+from csa_floor.distributions import ChannelModel, DomainError, parse_distribution, validate
+from csa_floor.frame_model import SlotCountTooSmall, round_half_up
 from csa_floor.harness import (
     CHUNK_FRAMES,
     CSV_HEADER,
@@ -27,7 +28,6 @@ from csa_floor.harness import (
     confidence_interval,
     csv_lines,
     frame_generator,
-    round_half_up,
     run_sweep,
     write_csv,
     write_json,
@@ -73,9 +73,9 @@ class TestConfidenceInterval:
 
 class TestPlanValidation:
     def test_bad_loads(self, ref_dist):
-        with pytest.raises(PlanError):
+        with pytest.raises(DomainError):
             SweepPlan(dist=ref_dist, n=200, epsilon=0.0, loads=(0.0,), frames=10)
-        with pytest.raises(PlanError):
+        with pytest.raises(DomainError):
             SweepPlan(dist=ref_dist, n=200, epsilon=0.0, loads=(2.5,), frames=10)
 
     def test_bad_frames(self, ref_dist):
@@ -91,11 +91,11 @@ class TestPlanValidation:
     def test_frame_shorter_than_catalog_rejected(self):
         # the analytic overlay's beta formulas need 4 slots; the plan must
         # fail before any frame is simulated, not after all of them
-        with pytest.raises(PlanError, match="n must be >= 4"):
+        with pytest.raises(SlotCountTooSmall, match="need n >= 4"):
             SweepPlan(dist=parse_distribution("2:1.0"), n=3, epsilon=0.0, loads=(0.6,), frames=400_000)
 
     def test_load_rounding_to_zero_users(self, ref_dist):
-        with pytest.raises(PlanError, match="zero users"):
+        with pytest.raises(DomainError, match="zero users"):
             SweepPlan(dist=ref_dist, n=9, epsilon=0.0, loads=(0.05,), frames=10)
 
     @pytest.mark.parametrize("n", [8, 9])

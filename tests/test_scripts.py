@@ -2,6 +2,7 @@
 README runs them: as child processes, on inputs small enough for about a
 second each."""
 
+import json
 from pathlib import Path
 
 from csa_floor.distributions import ChannelModel, parse_distribution
@@ -52,3 +53,29 @@ def test_plr_floor_study_script(tmp_path):
         assert [row.split()[0] for row in block[2:]] == ["0.20", "0.30", "0.40"]
         assert (tmp_path / f"plr_{tag}.csv").read_text().splitlines()[0] == CSV_HEADER
         assert (tmp_path / f"plr_{tag}.json").is_file()
+
+
+def test_bench_pairs_script(tmp_path):
+    root = SCRIPTS.parent
+    out_json = tmp_path / "bench.json"
+    out = _run_child(
+        str(SCRIPTS / "bench_pairs.py"),
+        *("--parent", str(root), "--change", str(root), "--pairs", "1", "--seed-base", "0"),
+        *("--seconds", "1", "--workload", "optimize", "--out", str(out_json)),
+    )
+    assert out.returncode == 0, out.stderr
+    summary = json.loads(out_json.read_text())
+    assert summary["claimed"] is None and summary["machine"]["vcpus"] >= 1
+    assert list(summary["workloads"]) == ["optimize"]
+    entry = summary["workloads"]["optimize"]
+    assert entry["pairs"] == 1 and entry["seeds"] == [1] and entry["all_correct"] is True
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    for metric in metrics:
+        m = entry[metric["name"]]
+        assert m["better"] == metric["better"]
+        assert len(m["parent_runs"]) == len(m["change_runs"]) == 1
+        assert m["parent_quartiles"] == [round(m["parent_runs"][0], 4)] * 2
+        # one pair can show a regression but never a gain
+        assert m["verdict"] in ("no regression", "regression", "unresolved")
+    verdicts = [line.strip() for line in out.stdout.splitlines()[1:]]
+    assert [line.split(":")[0] for line in verdicts] == [m["name"] for m in metrics]
