@@ -46,7 +46,7 @@ def load_users(g: float, n: int) -> int:
     ``round_half_up(g * n)``; DomainError unless g is in (0, 2] and they
     are at least one."""
     if not 0.0 < g <= 2.0:
-        raise DomainError(f"load must be in (0, 2], got {g}")
+        raise DomainError(f"loads must be in (0, 2], got {g}")
     m = round_half_up(g * n)
     if m < 1:
         raise DomainError(f"load {g} at n = {n} rounds to zero users")

@@ -394,11 +394,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "load, message",
         [
-            ("inf", "load must be in (0, 2], got inf"),
-            ("nan", "load must be in (0, 2], got nan"),
-            ("-0.5", "load must be in (0, 2], got -0.5"),
-            ("0", "load must be in (0, 2], got 0.0"),
-            ("3", "load must be in (0, 2], got 3.0"),
+            ("inf", "loads must be in (0, 2], got inf"),
+            ("nan", "loads must be in (0, 2], got nan"),
+            ("-0.5", "loads must be in (0, 2], got -0.5"),
+            ("0", "loads must be in (0, 2], got 0.0"),
+            ("3", "loads must be in (0, 2], got 3.0"),
             ("0.001", "load 0.001 at n = 200 rounds to zero users"),
         ],
     )
@@ -468,7 +468,7 @@ class TestErrorPaths:
                 ),
                 (
                     "g3",
-                    "load must be in (0, 2], got 3.0",
+                    "loads must be in (0, 2], got 3.0",
                     [
                         ["simulate", "--dist", "2:0.5,3:0.5", "--g", "3", "--frames", "10"],
                         ["predict", "--dist", "2:0.5,3:0.5", "--g", "3"],
