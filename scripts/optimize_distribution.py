@@ -11,14 +11,14 @@ import argparse
 import numpy as np
 
 from csa_floor.density_evolution import threshold
-from csa_floor.distributions import ChannelModel, format_distribution, parse_distribution
+from csa_floor.distributions import format_distribution, parse_distribution
 from csa_floor.optimizer import ObjectiveSpec, optimize
 from csa_floor.predictor import analytic_report
 
 
 def describe(name, dist, spec):
     g_star = threshold(dist)
-    floor = analytic_report(spec.m, spec.n, dist, ChannelModel(0.0)).average
+    floor = analytic_report(spec.m, spec.n, dist, spec.channel).average
     print(f"{name:>24}: {format_distribution(dist, digits=4):<28} "
           f"threshold={g_star:.4f} analytic_floor@g={spec.g_target}: {floor:.3e}")
 

@@ -18,7 +18,6 @@ from .decoder import DegreeKeying
 from .density_evolution import threshold
 from .distributions import ChannelModel, format_distribution, induce, parse_distribution
 from .errors import CsaFloorError
-from .frame_model import load_users
 from .harness import (
     CSV_HEADER,
     SweepPlan,
@@ -29,7 +28,7 @@ from .harness import (
     write_csv_lines,
 )
 from .optimizer import ObjectiveSpec, optimize
-from .predictor import analytic_report
+from .predictor import analytic_report, design_point
 from .stopping_sets import CATALOG_BY_ID, beta
 
 
@@ -109,8 +108,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--w-threshold", type=float, default=0.5)
     p.add_argument("--w-floor", type=float, default=0.5)
     p.add_argument("--g-target", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--eps", type=float, default=0.0)
+    add_common(p, dist=False, n=True, eps=True)
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-json", default=None)
@@ -135,13 +133,10 @@ def _cmd_induce(args) -> int:
 
 def _cmd_predict(args) -> int:
     dist = parse_distribution(args.dist)
-    keying = _keying(args.keying)
-    channel = ChannelModel(args.eps)
     loads = parse_loads(args.g)
-    reports = []
-    for g in loads:
-        m = load_users(g, args.n)
-        reports.append((g, m, analytic_report(m, args.n, dist, channel)))
+    keying = _keying(args.keying)
+    channel, users = design_point(args.n, args.eps, loads, dist.max_support_degree())
+    reports = [(g, m, analytic_report(m, args.n, dist, channel)) for g, m in zip(loads, users)]
     for g, m, rep in reports:
         print(f"g={g:g} m={m} n={args.n} eps={args.eps:g} avg_plr={rep.average:.6g}")
     if args.out_json:

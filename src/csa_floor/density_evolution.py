@@ -24,10 +24,12 @@ neighbouring samples.
 
 The recursion assumes every user has degree >= 2: with mass on degree 0 or 1
 it stops describing the actual decoder (a degree-1 user occupies one slot
-and has no "other slots"), so such distributions are rejected. In particular
-any erasure-induced distribution with eps > 0 is rejected, reflecting that
-the asymptotic threshold over an erasure channel is zero and the floor is
-governed by the induced degree-0 mass instead.
+and has no "other slots"), so such distributions are rejected, and with
+them every erasure-induced distribution with eps > 0. Over an erasure
+channel the infimum of f is 0 once lambda_1 > 0, but the threshold is not:
+it is the load where the fixed point jumps from near 0 to a large value,
+about 0.902 for 2:0.25,3:0.6,8:0.15 at eps = 0.03. Such laws stay refused
+until that threshold is computed.
 """
 
 from __future__ import annotations

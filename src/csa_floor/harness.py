@@ -53,18 +53,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .decoder import DegreeKeying
-from .distributions import ChannelModel, DegreeDistribution
+from .distributions import DegreeDistribution
 from .errors import CsaFloorError
-from .frame_model import check_hosting, draw_frame, load_users
-from .predictor import analytic_report
-from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL, check_frame_length
+from .frame_model import draw_frame
+from .predictor import analytic_report, design_point, fields_dict
+from .stopping_sets import CATALOG, DEGREE0_LABEL, OTHER_LABEL
 
 CHUNK_FRAMES = 4096
 # words per block of every chunk kernel (2 MB of float64 uniforms): a block
@@ -124,7 +123,10 @@ def confidence_interval(successes: int, trials: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """One simulation campaign over a grid of channel loads."""
+    """One simulation campaign over a grid of channel loads.
+
+    Construction checks the plan and sets ``channel``, its ``ChannelModel``,
+    and ``users``, the users in a frame at each load."""
 
     dist: DegreeDistribution
     n: int
@@ -140,13 +142,6 @@ class SweepPlan:
     def __post_init__(self):
         if self.frames < 1:
             raise PlanError(f"frames must be >= 1, got {self.frames}")
-        # the analytic overlay needs the catalog's frame length
-        check_frame_length(self.n)
-        # below 2**31 a frame's slot codes fit uint32, which the peel and the
-        # labeller add to intp offsets exactly: numpy adds uint64 to intp in float64
-        if self.n >= 2**31:
-            raise PlanError(f"n must be below 2**31 for uint32 frame-local slot codes, got {self.n}")
-        _ = self.channel  # the erasure-probability rule
         if self.workers < 1:
             raise PlanError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.seed < 2**64:
@@ -155,8 +150,16 @@ class SweepPlan:
         object.__setattr__(self, "loads", loads)
         if not loads:
             raise PlanError("need at least one load point")
+        l = self.dist.max_support_degree()
+        channel, users = design_point(self.n, self.epsilon, loads, l)
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "users", users)
+        # below 2**31 a frame's slot codes fit uint32, which the peel and the
+        # labeller add to intp offsets exactly: numpy adds uint64 to intp in float64
+        if self.n >= 2**31:
+            raise PlanError(f"n must be below 2**31 for uint32 frame-local slot codes, got {self.n}")
         chunk = min(self.frames, CHUNK_FRAMES)
-        for g, m in zip(loads, self.users):
+        for g, m in zip(loads, users):
             # caps the chunk's per-user arrays: two int16 degree matrices and
             # the resolved flags, 3-5 bytes per user. User ids need no cap:
             # they are block-local, and a block's rows are at least 2m words
@@ -166,8 +169,6 @@ class SweepPlan:
                     f"load {g} at n = {self.n} puts {m} users in a frame, too "
                     f"many for chunks of {chunk} frames"
                 )
-        l = self.dist.max_support_degree()
-        check_hosting(self.n, l)
         # slots are placed by whole-row rejection, which crawls near l = n
         redraws = _row_redraws(l, self.n)
         if redraws > MAX_ROW_REDRAWS:
@@ -175,15 +176,6 @@ class SweepPlan:
                 f"degree-{l} users at n = {self.n} need {redraws:.0f} expected "
                 f"slot redraws per row, more than {MAX_ROW_REDRAWS}; raise n"
             )
-
-    @cached_property
-    def users(self) -> tuple[int, ...]:
-        """Users in a frame at each load, ``load_users(g, n)``."""
-        return tuple(load_users(g, self.n) for g in self.loads)
-
-    @cached_property
-    def channel(self) -> ChannelModel:
-        return ChannelModel(self.epsilon)
 
 
 @dataclass
@@ -208,7 +200,7 @@ class SweepRow:
 
     def to_dict(self) -> dict:
         """The row's fields, tuples as lists, as ``write_json`` writes them."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return fields_dict(self)
 
 
 # ---------------------------------------------------------------------------

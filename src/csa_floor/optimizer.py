@@ -21,24 +21,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import ChannelModel, DegreeDistribution, induce
+from .distributions import DegreeDistribution, induce
 from .density_evolution import threshold
 from .errors import CsaFloorError
-from .frame_model import check_hosting, load_users
-from .predictor import average_plr, plr_per_degree
-from .stopping_sets import check_frame_length
+from .predictor import average_plr, design_point, plr_per_degree
 
 FLOOR_LOG_CAP = 5.0
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Search-space and scoring parameters for the distribution optimizer."""
+    """Search-space and scoring parameters for the distribution optimizer.
+
+    Construction checks them and sets ``channel``, the design point's
+    ``ChannelModel``, and ``m``, its users in a frame."""
 
     support: tuple[int, ...]
     w_threshold: float = 0.5
@@ -62,20 +62,9 @@ class ObjectiveSpec:
                 raise CsaFloorError(f"{name} must be finite and non-negative, got {value}")
         if self.w_threshold + self.w_floor <= 0.0:
             raise CsaFloorError("at least one weight must be positive")
-        check_frame_length(self.n)
-        # the erasure-probability and load rules; a zero-user point is
-        # reported before the hosting rule runs
-        _ = self.channel, self.m
-        check_hosting(self.n, support[-1])
-
-    @cached_property
-    def m(self) -> int:
-        """Users in a frame of the design point."""
-        return load_users(self.g_target, self.n)
-
-    @cached_property
-    def channel(self) -> ChannelModel:
-        return ChannelModel(self.epsilon)
+        channel, (m,) = design_point(self.n, self.epsilon, (self.g_target,), support[-1])
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)

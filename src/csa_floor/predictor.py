@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 from .decoder import DegreeKeying
 from .distributions import ChannelModel, DegreeDistribution, induce
-from .frame_model import check_hosting
+from .frame_model import check_hosting, load_users
 from .stopping_sets import CATALOG, check_frame_length, rho
 
 # Per-degree annotations attached to analytic reports.
@@ -41,6 +41,30 @@ _CLASS_COUNTS_BY_DEGREE = tuple(
 )
 
 
+def fields_dict(record) -> dict:
+    """A dataclass's fields by name, tuples as lists, as the JSON outputs
+    write them."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(record).items()}
+
+
+def design_point(
+    n: int, epsilon: float, loads: tuple[float, ...], degree: int
+) -> tuple[ChannelModel, tuple[int, ...]]:
+    """Check a design point, a law of largest degree ``degree`` on frames of
+    ``n`` slots at erasure probability ``epsilon`` and each of ``loads``;
+    return its channel and its users per load.
+
+    The four rules run in one order, so every command reports the same first
+    fault: frame length, erasure probability, load (per load, in order),
+    hosting.
+    """
+    check_frame_length(n)
+    channel = ChannelModel(epsilon)
+    users = tuple(load_users(g, n) for g in loads)
+    check_hosting(n, degree)
+    return channel, users
+
+
 @dataclass(frozen=True)
 class PlrReport:
     """Per-degree and average packet loss rates with provenance."""
@@ -57,7 +81,7 @@ class PlrReport:
 
     def to_dict(self) -> dict:
         """The report's fields, tuples as lists."""
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return fields_dict(self)
 
     def keyed(self, keying: DegreeKeying) -> tuple[float, ...]:
         """Per-degree rates as ``keying`` counts degrees: ``per_degree`` by

@@ -369,6 +369,29 @@ class TestErrorPaths:
         assert main(argv + ["--n", "200"]) == 1
         assert "error: n = 200 cannot host degree-300 users" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "n,eps,g,degree,message",
+        [
+            ("3", "1.5", "0.5", "3", "catalog beta formulas need n >= 4, got 3"),
+            ("3", "0", "3", "3", "catalog beta formulas need n >= 4, got 3"),
+            ("3", "0", "0.1", "3", "catalog beta formulas need n >= 4, got 3"),
+            ("200", "1.5", "3", "3", "erasure probability must be in [0, 1], got 1.5"),
+            ("5", "0", "3", "8", "loads must be in (0, 2], got 3.0"),
+        ],
+        ids=["n-eps", "n-load", "n-zero-users", "eps-load", "load-hosting"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "simulate", "classify", "optimize"])
+    def test_two_faults_report_the_same_first_rule(self, capsys, command, n, eps, g, degree, message):
+        # every command checks a design point's rules in one order: frame
+        # length, erasure probability, load, hosting
+        if command == "optimize":
+            argv = ["optimize", "--support", degree, "--g-target", g, "--budget", "20"]
+        else:
+            argv = [command, "--dist", f"{degree}:1.0", "--g", g]
+            argv += [] if command == "predict" else ["--frames", "10"]
+        assert main(argv + ["--n", n, "--eps", eps]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_negative_seed_exits_1(self, capsys):
         argv = ["simulate", "--dist", "2:1.0", "--n", "10", "--g", "0.5", "--frames", "10"]
         assert main(argv + ["--seed", "-1"]) == 1
