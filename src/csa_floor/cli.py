@@ -11,8 +11,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import oracle as oracle_mod
 from .decoder import DegreeKeying
 from .density_evolution import threshold
@@ -52,7 +50,7 @@ def parse_loads(text: str) -> tuple[float, ...]:
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             return tuple(round(start + i * step, 12) for i in range(count))
         return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # floor(inf) overflows
         raise ConfigError(f"cannot parse load grid {text!r}") from exc
 
 
@@ -150,7 +148,7 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _make_plan(args) -> SweepPlan:
+def _make_plan(args, out_json: str | None) -> SweepPlan:
     return SweepPlan(
         dist=parse_distribution(args.dist),
         n=args.n,
@@ -161,19 +159,19 @@ def _make_plan(args) -> SweepPlan:
         keying=_keying(args.keying),
         workers=args.workers,
         out_csv=args.out_csv,
-        out_json=args.out_json,
+        out_json=out_json,
     )
 
 
 def _cmd_simulate(args) -> int:
-    rows = run_sweep(_make_plan(args))
+    rows = run_sweep(_make_plan(args, args.out_json))
     for line in csv_lines(rows):
         print(line)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    rows = run_sweep(_make_plan(args))
+    rows = run_sweep(_make_plan(args, None))  # the histogram payload is its JSON
     keys = ("g", "m", "frames", "histogram", "histogram_rates")
     payload = [{k: d[k] for k in keys} for d in (row.to_dict() for row in rows)]
     print(dump_json(payload, args.out_json), end="")
@@ -199,7 +197,7 @@ def _cmd_optimize(args) -> int:
         n=args.n,
         epsilon=args.eps,
     )
-    result = optimize(spec, budget=args.budget, rng=np.random.default_rng(args.seed))
+    result = optimize(spec, budget=args.budget, rng=args.seed)
     print(format_distribution(result.best))
     print(f"score={result.best_score:.6g}", file=sys.stderr)
     if args.out_json:

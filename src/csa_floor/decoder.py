@@ -9,7 +9,6 @@ the graph regardless of the order singletons are consumed in.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,12 +31,14 @@ class DecodeOutcome:
 
 
 def peel(graph: FrameGraph, rng: np.random.Generator | None = None) -> DecodeOutcome:
-    """Run peeling to its fixed point.
+    """Run peeling to its fixed point, in rounds.
 
-    The default schedule consumes singletons in FIFO waves. Passing ``rng``
-    instead resolves one uniformly random singleton at a time; the resolved
-    set is identical either way (order independence), so the knob exists
-    purely to let tests exercise that property.
+    Each round takes the slots that are singletons when it starts, in slot
+    order, and resolves the user of each one that an earlier resolution in
+    the round has not emptied. Passing ``rng`` instead takes one singleton
+    per round, ``singles[rng.integers(len(singles))]`` of the sorted list;
+    the resolved set is identical either way (order independence), so the
+    knob exists purely to let tests exercise that property.
     """
     slot_users: dict[int, set[int]] = {}
     for idx, user in enumerate(graph.users):
@@ -45,37 +46,18 @@ def peel(graph: FrameGraph, rng: np.random.Generator | None = None) -> DecodeOut
             slot_users.setdefault(s, set()).add(idx)
 
     resolved = [False] * len(graph.users)
-
-    def resolve(user_idx: int):
-        resolved[user_idx] = True
-        for s in graph.users[user_idx].slots:
-            occupants = slot_users[s]
-            occupants.discard(user_idx)
-            if not occupants:
-                del slot_users[s]
-
-    if rng is None:
-        queue = deque(s for s, occ in slot_users.items() if len(occ) == 1)
-        while queue:
-            next_wave: deque[int] = deque()
-            for s in queue:
-                occ = slot_users.get(s)
-                if occ is None or len(occ) != 1:
-                    continue
-                user_idx = next(iter(occ))
-                touched = graph.users[user_idx].slots
-                resolve(user_idx)
-                for t in touched:
-                    if t != s and len(slot_users.get(t, ())) == 1:
-                        next_wave.append(t)
-            queue = next_wave
-    else:
-        while True:
-            singles = sorted(s for s, occ in slot_users.items() if len(occ) == 1)
-            if not singles:
-                break
-            s = singles[int(rng.integers(len(singles)))]
-            resolve(next(iter(slot_users[s])))
+    while singles := sorted(s for s, occ in slot_users.items() if len(occ) == 1):
+        if rng is not None:
+            singles = [singles[int(rng.integers(len(singles)))]]
+        for s in singles:
+            if s in slot_users:
+                (user_idx,) = slot_users[s]
+                resolved[user_idx] = True
+                for t in graph.users[user_idx].slots:
+                    occupants = slot_users[t]
+                    occupants.discard(user_idx)
+                    if not occupants:
+                        del slot_users[t]
 
     residual_users = tuple(
         user for idx, user in enumerate(graph.users) if not resolved[idx]

@@ -113,13 +113,28 @@ def validate(raw) -> DegreeDistribution:
     return DegreeDistribution(tuple(float(p) for p in raw))
 
 
+# from k = 1030 on, C(k, k // 2) exceeds the largest float
+_FLOAT_COMB_DEGREES = 1030
+
+
 @lru_cache(maxsize=64)
-def _thinning_columns(eps: float, q: int) -> tuple[tuple[float, ...], ...]:
-    """Column k holds C(k,l) eps^(k-l) (1-eps)^l for l = 0..k."""
+def _thinning_column(eps: float, k: int) -> tuple[float, ...]:
+    """C(k,l) eps^(k-l) (1-eps)^l for l = 0..k.
+
+    Below degree ``_FLOAT_COMB_DEGREES`` each term is that float product.
+    From it on, where C(k, l) overflows a float, each term is the exp of its
+    logarithm, by ``math.lgamma``; at eps = 0 or 1 the column puts all its
+    mass on l = k or l = 0 exactly.
+    """
     keep = 1.0 - eps
+    if k < _FLOAT_COMB_DEGREES:
+        return tuple(math.comb(k, l) * eps ** (k - l) * keep**l for l in range(k + 1))
+    if not 0.0 < eps < 1.0:
+        return tuple(float(l == (k if eps == 0.0 else 0)) for l in range(k + 1))
+    log_eps, log_keep, log_k = math.log(eps), math.log1p(-eps), math.lgamma(k + 1)
     return tuple(
-        tuple(math.comb(k, l) * eps ** (k - l) * keep**l for l in range(k + 1))
-        for k in range(q + 1)
+        math.exp(log_k - math.lgamma(l + 1) - math.lgamma(k - l + 1) + (k - l) * log_eps + l * log_keep)
+        for l in range(k + 1)
     )
 
 
@@ -130,17 +145,17 @@ def induce(dist: DegreeDistribution, channel: ChannelModel) -> DegreeDistributio
     binomial thinning of each transmit degree. Same q as the input; entry 0
     equals the generating polynomial evaluated at eps.
 
-    The thinning coefficients are computed once per (eps, q). Only transmit
-    degrees with mass contribute: in order of k, each adds its cached
-    coefficient times probs[k] to entries 0..k. Every entry therefore sees
-    the float operations of the term-by-term sum that skips zero-mass
-    degrees, and the tests hold the two to bitwise equality.
+    Only transmit degrees with mass are thinned: in order of k, each adds
+    its thinning column, computed once per (eps, k), times probs[k] to
+    entries 0..k. Every entry therefore sees the float operations of the
+    term-by-term sum that skips zero-mass degrees, and the tests hold the
+    two to bitwise equality.
     """
     probs = dist.probs
     out = [0.0] * len(probs)
-    for p, column in zip(probs, _thinning_columns(channel.epsilon, len(probs) - 1)):
+    for k, p in enumerate(probs):
         if p:
-            for l, coef in enumerate(column):
+            for l, coef in enumerate(_thinning_column(channel.epsilon, k)):
                 out[l] += coef * p
     return DegreeDistribution(tuple(out))
 

@@ -97,7 +97,15 @@ _LOW = np.int64((1 << 32) - 1)
 
 
 class PlanError(CsaFloorError):
-    """Invalid sweep plan."""
+    """Invalid sweep plan or seed."""
+
+
+def check_seed(seed: int):
+    """The seed rule: a seed lies in [0, 2**64), the 64 bits a Philox key
+    gives it (``_philox_key``); others are refused rather than folded onto
+    another seed's streams."""
+    if not 0 <= seed < 2**64:
+        raise PlanError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def confidence_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -144,8 +152,7 @@ class SweepPlan:
             raise PlanError(f"frames must be >= 1, got {self.frames}")
         if self.workers < 1:
             raise PlanError(f"workers must be >= 1, got {self.workers}")
-        if not 0 <= self.seed < 2**64:
-            raise PlanError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         loads = tuple(float(g) for g in self.loads)
         object.__setattr__(self, "loads", loads)
         if not loads:
@@ -210,8 +217,7 @@ class SweepRow:
 def _philox_key(seed: int, point_index: int) -> int:
     """128-bit Philox key of load point ``point_index`` of a sweep seeded
     ``seed``; the one key behind both the reference and the chunk streams."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)
     return seed | (point_index << 64)
 
 
@@ -629,14 +635,17 @@ def run_sweep(plan: SweepPlan) -> list[SweepRow]:
 
     Each load point's row of counts is the sum of its chunks' records, in
     integer arithmetic, so results are bitwise identical for any worker
-    count; output files are written only after every point completes.
+    count; output files are written only after every point completes. The
+    pool has one process per chunk at most, and a plan of one chunk, or one
+    worker, runs in this process.
     """
     q = plan.dist.q
     specs = _chunk_specs(plan)
-    if plan.workers > 1:
+    workers = min(plan.workers, len(specs))
+    if workers > 1:
         import multiprocessing  # only pools need it; it adds ~9 ms to every import
 
-        with multiprocessing.get_context("fork").Pool(plan.workers) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = pool.map(_run_chunk, specs, chunksize=1)
     else:
         results = map(_run_chunk, specs)

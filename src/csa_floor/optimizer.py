@@ -28,6 +28,7 @@ import numpy as np
 from .distributions import DegreeDistribution, induce
 from .density_evolution import threshold
 from .errors import CsaFloorError
+from .harness import check_seed
 from .predictor import average_plr, design_point, plr_per_degree
 
 FLOOR_LOG_CAP = 5.0
@@ -109,11 +110,13 @@ def optimize(
     first restart is the barycenter), the rest to annealed Dirichlet
     perturbations around the incumbent. Ties resolve to the lexicographically
     smaller probability vector, so the outcome does not depend on evaluation
-    order.
+    order. An int ``rng`` is a seed for ``np.random.default_rng`` and obeys
+    the sweep's seed rule, ``harness.check_seed``.
     """
     if budget < 1:
         raise CsaFloorError(f"budget must be >= 1, got {budget}")
     if isinstance(rng, (int, np.integer)):
+        check_seed(int(rng))
         rng = np.random.default_rng(int(rng))
     k = len(spec.support)
 

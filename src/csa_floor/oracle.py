@@ -92,18 +92,13 @@ def exact_event_probabilities(degrees, n: int) -> ExactEventTally:
             f" exceed the {MAX_ENUMERATION} cap"
         )
 
-    unresolved_counts: dict[int, int] = {}
-    label_counts: dict[str, int] = {}
-    spaces = [tuple(combinations(range(n), l)) for l in degrees]
-    for assignment in product(*spaces):
-        graph = FrameGraph(
-            n=n, users=tuple(UserRecord(len(s), frozenset(s)) for s in assignment)
-        )
-        residual = peel(graph).residual
-        k = residual.m
-        unresolved_counts[k] = unresolved_counts.get(k, 0) + 1
-        for label in {classify(c) for c in components(residual)}:
-            label_counts[label] = label_counts.get(label, 0) + 1
+    unresolved_counts: Counter[int] = Counter()
+    label_counts: Counter[str] = Counter()
+    spaces = [tuple(UserRecord(l, frozenset(s)) for s in combinations(range(n), l)) for l in degrees]
+    for users in product(*spaces):
+        residual = peel(FrameGraph(n=n, users=users)).residual
+        unresolved_counts[residual.m] += 1
+        label_counts.update({classify(c) for c in components(residual)})
 
     return ExactEventTally(
         degrees=degrees,

@@ -130,7 +130,9 @@ def plr_user_perspective(
     Mixes the induced-degree rates with the binomial erasure kernel: a
     degree-l transmission is received as degree k with probability
     C(l,k) eps^(l-k) (1-eps)^k. Degrees the original distribution never uses
-    report 0.
+    report 0. Received degrees whose rate is 0, which ``plr_per_degree``
+    gives every degree above the catalog's, add no term: so no C(l, k) of
+    a large degree l is formed, which from l = 1030 on may not fit a float.
     """
     eps = channel.epsilon
     keep = 1.0 - eps
@@ -141,7 +143,8 @@ def plr_user_perspective(
             continue
         acc = 0.0
         for k in range(0, l + 1):
-            acc += p[k] * math.comb(l, k) * eps ** (l - k) * keep**k
+            if p[k]:
+                acc += p[k] * math.comb(l, k) * eps ** (l - k) * keep**k
         out.append(acc)
     return tuple(out)
 

@@ -61,6 +61,21 @@ class TestInduce:
         assert payload["induced"] == [0.25, 0.5, 0.25]
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--dist", "2:0.5,1100:0.5", "--n", "2000", "--g", "0.5"],
+            ["induce", "--dist", "2:0.5,1100:0.5", "--eps", "0.01"],
+            ["induce", "--dist", "2:0.5,1100:0.5", "--eps", "0"],
+        ],
+        ids=["predict", "induce", "induce-eps0"],
+    )
+    def test_degree_above_1029_runs(self, capsys, argv):
+        # C(k, l) overflows a float from k = 1030 on
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestThreshold:
     def test_pure_degree2(self, capsys):
         assert main(["threshold", "--dist", "2:1.0"]) == 0
@@ -139,6 +154,16 @@ class TestClassify:
             "Other",
         }
         assert payload[0]["histogram"]["S5"] > 0
+
+    def test_out_json_written_once_as_printed(self, capsys, tmp_path, monkeypatch):
+        # the histogram payload is the file; the sweep's own row JSON is never written
+        calls = []
+        monkeypatch.setattr(csa_floor.harness, "write_json", lambda *args: calls.append(args))
+        path = tmp_path / "hist.json"
+        argv = ["classify", *_REF, "--n", "20", "--g", "0.6", "--frames", "50", "--out-json", str(path)]
+        assert main(argv) == 0
+        assert path.read_text() == capsys.readouterr().out
+        assert calls == []
 
 
 class TestPredict:
@@ -393,9 +418,13 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_negative_seed_exits_1(self, capsys):
-        argv = ["simulate", "--dist", "2:1.0", "--n", "10", "--g", "0.5", "--frames", "10"]
-        assert main(argv + ["--seed", "-1"]) == 1
-        assert "seed" in capsys.readouterr().err
+        # one seed rule, harness.check_seed, for the sweep and the search
+        simulate = ["simulate", "--dist", "2:1.0", "--n", "10", "--g", "0.5", "--frames", "10"]
+        optimize = ["optimize", "--support", "3,8", "--budget", "5"]
+        for argv in (simulate, optimize):
+            for seed in (-1, 2**64):
+                assert main(argv + ["--seed", str(seed)]) == 1
+                assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
 
     def test_plan_with_crawling_redraws_exits_1(self, capsys):
         argv = ["simulate", "--dist", "8:1.0", "--n", "8", "--g", "0.5", "--frames", "10"]
@@ -423,6 +452,9 @@ class TestErrorPaths:
             ("0", "loads must be in (0, 2], got 0.0"),
             ("3", "loads must be in (0, 2], got 3.0"),
             ("0.001", "load 0.001 at n = 200 rounds to zero users"),
+            # grids whose load count overflows a float
+            ("0.5:inf:1", "cannot parse load grid '0.5:inf:1'"),
+            ("0:1e308:1e-308", "cannot parse load grid '0:1e308:1e-308'"),
         ],
     )
     def test_predict_bad_load_exits_1(self, capsys, load, message):

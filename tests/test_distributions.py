@@ -1,8 +1,11 @@
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from csa_floor.distributions import (
     ChannelModel,
@@ -17,6 +20,7 @@ from csa_floor.distributions import (
     parse_distribution,
     validate,
 )
+from csa_floor.predictor import floor_lower_bound
 
 REF_DIST = [0, 0, 0.25, 0.6, 0, 0, 0, 0, 0.15]
 
@@ -115,6 +119,34 @@ class TestInduce:
         out = induce(dist, ChannelModel(eps))
         assert out.probs[0] == pytest.approx(dist.evaluate(eps), abs=1e-12)
         assert out.evaluate(1.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_degree_20000_law_thins_only_its_support(self):
+        # one column per degree with mass, in logs past degree 1029
+        dist = parse_distribution("2:0.5,20000:0.5")
+        channel = ChannelModel(0.03)
+        start = time.perf_counter()
+        out = induce(dist, channel)
+        assert time.perf_counter() - start < 1.0
+        assert out.probs[0] == floor_lower_bound(dist, channel)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_large_degree_edge_channels_are_exact(self, eps):
+        dist = parse_distribution("2:0.5,1100:0.5")
+        out = induce(dist, ChannelModel(eps))
+        assert out.probs == (dist.probs if eps == 0.0 else (1.0,) + (0.0,) * dist.q)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.03, 0.5, 0.97])
+    def test_large_degrees_match_scipy_binomial(self, eps):
+        dist = parse_distribution("3:0.2,1030:0.4,5000:0.4")
+        ref = sum(
+            p * binom.pmf(np.arange(dist.q + 1), k, 1.0 - eps)
+            for k, p in enumerate(dist.probs)
+            if p
+        )
+        got = np.array(induce(dist, ChannelModel(eps)).probs)
+        normal = ref > 1e-290  # subnormal results keep fewer digits
+        np.testing.assert_allclose(got[normal], ref[normal], rtol=1e-9)
+        assert np.all(got[~normal] < 1e-280)
 
     @given(dists(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_degree0_mass_monotone_in_eps(self, dist, e1, e2):

@@ -252,6 +252,17 @@ class TestRunSweep:
 
 
 class TestDeterminism:
+    def test_one_chunk_plan_runs_in_process(self, ref_dist, monkeypatch):
+        # the pool is sized to min(workers, chunks): one chunk opens none
+        import multiprocessing
+
+        def no_pool(*args):
+            raise AssertionError("run_sweep opened a process pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        plan = SweepPlan(dist=ref_dist, n=50, epsilon=0.03, loads=(0.5,), frames=200, seed=4, workers=8)
+        assert run_sweep(plan)[0].frames == 200
+
     def test_csv_bytes_identical_across_worker_counts(self, ref_dist, tmp_path):
         blobs = []
         for workers in (1, 4, 8):
